@@ -12,7 +12,7 @@ can still give a visible gap. Takes ~3 minutes.
 import numpy as np
 
 from shapesem.dataset import SyntheticConfig, simulate
-from shapesem.evaluation import ablation_run, roi_ablation
+from shapesem.evaluation import roi_ablation, run_pipeline
 from shapesem.gan import GanTrainConfig
 
 # -- ROI specificity ----------------------------------------------------
@@ -33,7 +33,7 @@ cfg = GanTrainConfig(resolution=32, epochs=40, decay_start=28, batch=10,
 print("\ntwo categories, identical shapes, intensity-coded:")
 separates = {}
 for mode in ("full", "no_semantics"):
-    res = ablation_run(mode, ds2, cfg, runs=5)
+    res = run_pipeline(ds2, cfg, mode=mode, runs=5)
     values = np.array([img[ds2.masks[rec.stimulus_id] > 0.5].mean()
                        for rec, img in zip(res.test_records, res.reconstructions)])
     labels = np.array([rec.category_id for rec in res.test_records])

@@ -20,16 +20,16 @@ import sys
 from .dataset import (Dataset, SyntheticConfig, average_test_trials,
                       load_dataset, save_dataset, simulate, write_pgm)
 from .errors import NumericalError, ShapesemError
-from .evaluation import (ablation_run, pairwise_win_rate, report_rows,
-                         roi_ablation, write_montage, write_report_csv)
+from .evaluation import (decode_records, pairwise_win_rate, projected_masks,
+                         reconstruct_records, report_rows, roi_ablation,
+                         run_pipeline, training_pairs, write_montage,
+                         write_report_csv)
 from .gan import (GanTrainConfig, build_discriminator, build_generator,
-                  generate, load_checkpoint, save_checkpoint, train,
-                  write_loss_log)
-from .patches import extract_patch_features, upsample_nearest
+                  load_checkpoint, save_checkpoint, train, write_loss_log)
 from .semantic import (SemanticNetConfig, accuracy, load_semantic_net,
-                       save_semantic_net, semantic_features, train_semantic)
-from .shape_decoder import (decode_shape, fit_shape_decoder,
-                            load_shape_decoder, save_shape_decoder)
+                       save_semantic_net, train_semantic)
+from .shape_decoder import (fit_shape_decoder, load_shape_decoder,
+                            save_shape_decoder)
 
 
 class CliError(ShapesemError):
@@ -50,8 +50,6 @@ KNOWN_KEYS = {
     "dataset": (str, None),
     "out": (str, None),
     "seed": (int, 0),
-    "threads": (int, 1),
-    "tolerance_mode": (_parse_bool, False),
     "runs": (int, 5),
     "mode": (str, "full"),
     "metric": (str, "recon"),
@@ -130,8 +128,6 @@ def resolve_config(args):
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             cfg[key] = flag
-    if cfg["threads"] < 1:
-        raise CliError("threads must be >= 1")
     return cfg
 
 
@@ -223,13 +219,9 @@ def _gan_config(cfg, resolution, semantic_dim=None) -> GanTrainConfig:
                           disc_mode=cfg["gan_disc_mode"], seed=cfg["seed"])
 
 
-def _image_resolution(ds: Dataset) -> int:
-    return next(iter(ds.stimuli.values())).shape[0]
-
-
-def _projected_masks(ds, records, m):
-    return [upsample_nearest(extract_patch_features(ds.masks[r.stimulus_id], m), m)
-            for r in records]
+def _dataset_files(out):
+    return [os.path.join(dirpath, f) for dirpath, _, files in os.walk(out)
+            for f in files if not f.startswith("run_manifest")]
 
 
 # -- subcommand bodies --------------------------------------------------
@@ -238,10 +230,7 @@ def cmd_simulate(cfg):
     out = _require_out(cfg)
     ds, _ = simulate(_sim_config(cfg))
     save_dataset(ds, out)
-    written = [os.path.join(dirpath, f)
-               for dirpath, _, files in os.walk(out) for f in files
-               if not f.startswith("run_manifest")]
-    write_manifest(out, "simulate", cfg, written)
+    write_manifest(out, "simulate", cfg, _dataset_files(out))
     print("simulate: wrote dataset with %d records to %s" % (len(ds.records), out))
     return 0
 
@@ -250,10 +239,7 @@ def cmd_preprocess(cfg):
     ds = _load_ds(cfg)
     out = _require_out(cfg)
     save_dataset(average_test_trials(ds), out)
-    written = [os.path.join(dirpath, f)
-               for dirpath, _, files in os.walk(out) for f in files
-               if not f.startswith("run_manifest")]
-    write_manifest(out, "preprocess", cfg, written)
+    write_manifest(out, "preprocess", cfg, _dataset_files(out))
     print("preprocess: averaged test trials into %s" % out)
     return 0
 
@@ -292,14 +278,8 @@ def cmd_train_gan(cfg):
     if not no_sem:
         sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
                                               required=True))
-    gan_cfg = _gan_config(cfg, _image_resolution(ds),
-                          semantic_dim=0 if no_sem else None)
-    pairs = []
-    for r in ds.split_records("train"):
-        r_sp = decode_shape(dec, r, ds.layout)
-        r_sm = (semantic_features(sem_net, r, ds.layout)
-                if sem_net is not None else None)
-        pairs.append((r_sp, r_sm, ds.stimuli[r.stimulus_id]))
+    gan_cfg = _gan_config(cfg, ds.image_size, semantic_dim=0 if no_sem else None)
+    pairs = training_pairs(ds, dec, sem_net, ds.split_records("train"))
     gen = build_generator(gan_cfg)
     disc = build_discriminator(gan_cfg)
     log = train(gen, disc, pairs, gan_cfg)
@@ -320,20 +300,14 @@ def _reconstruct_all(cfg, ds):
     if gan_cfg.semantic_dim > 0:
         sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
                                               required=True))
-    shapes, recons = [], []
-    for r in ds.split_records("test"):
-        r_sp = decode_shape(dec, r, ds.layout)
-        r_sm = (semantic_features(sem_net, r, ds.layout)
-                if sem_net is not None else None)
-        shapes.append(r_sp)
-        recons.append(generate(gen, r_sp, r_sm))
-    return dec, shapes, recons
+    return reconstruct_records(gen, dec, sem_net, ds.split_records("test"),
+                               ds.layout)
 
 
 def cmd_reconstruct(cfg):
     ds = average_test_trials(_load_ds(cfg))
     out = _require_out(cfg)
-    _, shapes, recons = _reconstruct_all(cfg, ds)
+    shapes, recons = _reconstruct_all(cfg, ds)
     test = ds.split_records("test")
     written = []
     for i, img in enumerate(recons):
@@ -357,11 +331,11 @@ def cmd_evaluate(cfg):
     if cfg["metric"] == "shape":
         dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd",
                                            required=True))
-        preds = [decode_shape(dec, r, ds.layout) for r in test]
-        gts = _projected_masks(ds, test, cfg["patch_size"])
+        preds, _ = decode_records(dec, None, test, ds.layout)
+        gts = projected_masks(ds, test, cfg["patch_size"])
         label = "shape"
     elif cfg["metric"] == "recon":
-        _, _, preds = _reconstruct_all(cfg, ds)
+        _, preds = _reconstruct_all(cfg, ds)
         gts = [ds.stimuli[r.stimulus_id] for r in test]
         label = cfg["mode"]
     else:
@@ -398,7 +372,7 @@ def cmd_ablate(cfg, which):
     else:
         drop_mode = {"semantics": "no_semantics",
                      "augmentation": "no_augmentation"}[which]
-        gan_cfg = _gan_config(cfg, _image_resolution(ds))
+        gan_cfg = _gan_config(cfg, ds.image_size)
         aug = None
         if which == "augmentation":
             # reuse training stimuli as extra labelled images without voxels
@@ -407,8 +381,8 @@ def cmd_ablate(cfg, which):
         common = dict(shape_lambda=cfg["shape_lambda"],
                       patch_size=cfg["patch_size"], augment_images=aug,
                       runs=cfg["runs"])
-        full = ablation_run("full", ds, gan_cfg, **common)
-        drop = ablation_run(drop_mode, ds, gan_cfg, **common)
+        full = run_pipeline(ds, gan_cfg, mode="full", **common)
+        drop = run_pipeline(ds, gan_cfg, mode=drop_mode, **common)
         rows = report_rows(full.report, "full") + report_rows(drop.report,
                                                               drop_mode)
         write_report_csv(path, rows)
@@ -446,8 +420,9 @@ def build_parser():
                     "(roi_set,shape_win_rate,semantic_accuracy).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_dataset=True, needs_seed=False):
+    def add(name, func, help_text, needs_dataset=True, needs_seed=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
@@ -459,22 +434,26 @@ def build_parser():
             p.add_argument("--dataset", help="dataset directory")
         return p
 
-    add("simulate", "generate a synthetic dataset", needs_dataset=False,
+    add("simulate", cmd_simulate, "generate a synthetic dataset",
+        needs_dataset=False, needs_seed=True)
+    add("preprocess", cmd_preprocess,
+        "average repeated test trials into one record each")
+    add("train-shape", cmd_train_shape, "fit the patch-grid shape decoder",
         needs_seed=True)
-    add("preprocess", "average repeated test trials into one record each")
-    add("train-shape", "fit the patch-grid shape decoder", needs_seed=True)
-    add("train-semantic", "train the category classifier", needs_seed=True)
-    p = add("train-gan", "train the conditional reconstruction GAN",
-            needs_seed=True)
+    add("train-semantic", cmd_train_semantic, "train the category classifier",
+        needs_seed=True)
+    p = add("train-gan", cmd_train_gan,
+            "train the conditional reconstruction GAN", needs_seed=True)
     p.add_argument("--mode", choices=["full", "no_semantics"],
                    help="drop semantic conditioning if no_semantics")
-    add("reconstruct", "reconstruct every test record and emit a montage")
-    p = add("evaluate", "pairwise identification win rate to CSV")
+    add("reconstruct", cmd_reconstruct,
+        "reconstruct every test record and emit a montage")
+    p = add("evaluate", cmd_evaluate, "pairwise identification win rate to CSV")
     p.add_argument("--metric", choices=["shape", "recon"],
                    help="evaluate decoded shapes or GAN reconstructions")
-    p = add("ablate", "run one ablation experiment", needs_seed=True)
+    p = add("ablate", None, "run one ablation experiment", needs_seed=True)
     p.add_argument("which", choices=["roi", "semantics", "augmentation"])
-    add("report", "print all CSV reports in the output dir",
+    add("report", cmd_report, "print all CSV reports in the output dir",
         needs_dataset=False)
     return parser
 
@@ -487,25 +466,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg)
-        if args.command == "train-shape":
-            return cmd_train_shape(cfg)
-        if args.command == "train-semantic":
-            return cmd_train_semantic(cfg)
-        if args.command == "train-gan":
-            return cmd_train_gan(cfg)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
         if args.command == "ablate":
             return cmd_ablate(cfg, args.which)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise CliError("unknown command %r" % args.command)
+        return args.func(cfg)
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2

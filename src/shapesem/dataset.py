@@ -75,6 +75,13 @@ class RoiLayout:
             idx.append(np.arange(lo, hi))
         return np.concatenate(idx)
 
+    def matrix(self, records, set_name: str) -> np.ndarray:
+        """One ROI set's voxels as an (n_records, n_voxels) matrix."""
+        if not records:
+            raise DataError("no records to read %s voxels from" % set_name)
+        idx = self.indices(set_name)
+        return np.stack([r.voxels[idx] for r in records])
+
 
 @dataclass
 class TrialRecord:
@@ -166,6 +173,8 @@ def read_pgm(path) -> np.ndarray:
     if fields[0] != b"P5":
         raise DataError("%s is not a binary PGM" % path)
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not 1 <= maxval <= 255:
+        raise DataError("PGM maxval %d outside 1..255 in %s" % (maxval, path))
     px = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8)
     if px.size != w * h:
         raise DataError("truncated PGM payload in %s" % path)

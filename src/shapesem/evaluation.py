@@ -10,11 +10,11 @@ import numpy as np
 from .dataset import Dataset, average_test_trials
 from .errors import DataError, DimensionError
 from .gan import (GanTrainConfig, build_discriminator, build_generator,
-                  generate, train)
-from .patches import upsample_nearest
+                  generate_batch, make_augmented_pairs, train)
+from .patches import extract_patch_features, upsample_nearest
 from .semantic import (SemanticNetConfig, accuracy, category_average,
-                       semantic_features, train_semantic)
-from .shape_decoder import decode_shape, fit_shape_decoder
+                       semantic_features_batch, train_semantic)
+from .shape_decoder import decode_shape_batch, fit_shape_decoder
 
 # published win rates, kept in reports for orientation only, never asserted
 REFERENCE_WIN_RATES = {
@@ -103,27 +103,52 @@ def pairwise_win_rate(recons, ground_truths, runs: int = 5, seed: int = 0,
     return EvalReport(own, run_rates, float(np.mean(run_rates)), runs, seed)
 
 
+# -- pipeline stages over whole record lists ----------------------------
+
+def decode_records(shape_dec, sem_net, records, layout):
+    """(n, S, S) decoded shapes and (n, d) semantic features of the records;
+    the features are None when there is no semantic net."""
+    shapes = decode_shape_batch(shape_dec, records, layout)
+    if sem_net is None:
+        return shapes, None
+    return shapes, semantic_features_batch(sem_net, records, layout)
+
+
+def training_pairs(ds: Dataset, shape_dec, sem_net, records):
+    """GAN training pairs (decoded shape, semantics or None, stimulus)."""
+    shapes, sems = decode_records(shape_dec, sem_net, records, ds.layout)
+    if sems is None:
+        sems = [None] * len(records)
+    return [(sp, sm, ds.stimuli[r.stimulus_id])
+            for sp, sm, r in zip(shapes, sems, records)]
+
+
+def reconstruct_records(generator, shape_dec, sem_net, records, layout):
+    """Decode and render every record; returns (shapes, reconstructions),
+    each (n, S, S).  ``sem_net`` is None for an unconditioned generator."""
+    shapes, sems = decode_records(shape_dec, sem_net, records, layout)
+    return shapes, generate_batch(generator, shapes, sems)
+
+
+def projected_masks(ds: Dataset, records, m: int):
+    """Each record's mask averaged over m x m patches and replicated back to
+    S x S: the shape-identification target at the decoder's resolution."""
+    return [upsample_nearest(extract_patch_features(ds.masks[r.stimulus_id], m), m)
+            for r in records]
+
+
 # -- experiment runners -------------------------------------------------
 
 def _holdout_validation(ds: Dataset, n_validation: int = 40) -> Dataset:
     """Move the last ``n_validation`` training stimuli into the test split,
     dropping the original test records."""
-    train_ids = []
-    for r in ds.records:
-        if r.split == "train" and r.stimulus_id not in train_ids:
-            train_ids.append(r.stimulus_id)
+    train = ds.split_records("train")
+    train_ids = list(dict.fromkeys(r.stimulus_id for r in train))
     if len(train_ids) <= n_validation:
         raise DataError("not enough training stimuli to reserve %d" % n_validation)
     held = set(train_ids[-n_validation:])
-    records = []
-    for r in ds.records:
-        if r.split != "train":
-            continue
-        if r.stimulus_id in held:
-            records.append(replace(r, split="test"))
-        else:
-            records.append(r)
-    return replace(ds, records=records)
+    return replace(ds, records=[replace(r, split="test") if r.stimulus_id in held
+                                else r for r in train])
 
 
 def roi_ablation(ds: Dataset, roi_sets=("V1", "V2", "V3", "LVC", "HVC", "VC"),
@@ -134,17 +159,12 @@ def roi_ablation(ds: Dataset, roi_sets=("V1", "V2", "V3", "LVC", "HVC", "VC"),
         raise DataError("roi_sets must be nonempty")
     ds2 = _holdout_validation(ds, n_validation)
     val = ds2.split_records("test")
-    # identification targets at the decoder's patch resolution
-    from .patches import extract_patch_features
-
-    gts = [upsample_nearest(extract_patch_features(ds2.masks[r.stimulus_id],
-                                                   patch_size), patch_size)
-           for r in val]
+    gts = projected_masks(ds2, val, patch_size)
     table = []
     for roi_set in roi_sets:
         members = ds2.layout.members(roi_set)
         dec = fit_shape_decoder(ds2, members, shape_lambda, patch_size)
-        shapes = [decode_shape(dec, r, ds2.layout) for r in val]
+        shapes, _ = decode_records(dec, None, val, ds2.layout)
         report = pairwise_win_rate(shapes, gts, runs=runs, seed=seed)
         net = train_semantic(ds2, roi_set=roi_set, seed=seed)
         table.append({
@@ -180,7 +200,6 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
     if mode not in ("full", "no_semantics", "no_augmentation"):
         raise DataError("unknown mode %r" % mode)
     ds = average_test_trials(ds)
-    layout = ds.layout
     train_recs = ds.split_records("train")
     test_recs = ds.split_records("test")
 
@@ -193,52 +212,27 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
         sem_net = train_semantic(ds, semantic_config, roi_set="HVC",
                                  seed=gan_config.seed)
 
-    pairs = []
-    feats = []
-    for r in train_recs:
-        r_sp = decode_shape(shape_dec, r, layout)
-        r_sm = None
-        if sem_net is not None:
-            r_sm = semantic_features(sem_net, r, layout)
-            feats.append(r_sm)
-        pairs.append((r_sp, r_sm, ds.stimuli[r.stimulus_id]))
+    pairs = training_pairs(ds, shape_dec, sem_net, train_recs)
 
     if augment_images and mode != "no_augmentation":
-        from .dataset import binarize_mask
-        from .gan import make_augmented_pairs
-        from .patches import extract_patch_features
-
-        known = {r.category_id for r in train_recs}
-        usable = [(img, lab) for img, lab in augment_images if int(lab) in known]
+        # images of categories without training records are skipped
+        labels = [r.category_id for r in train_recs]
         if sem_net is not None:
-            averages = category_average(feats, [r.category_id for r in train_recs])
-            aug, _ = make_augmented_pairs(usable, averages, patch_size)
-            pairs.extend((a.shape, a.semantics, a.image) for a in aug)
+            averages = category_average([p[1] for p in pairs], labels)
         else:
-            for img, lab in usable:
-                grid = extract_patch_features(binarize_mask(img), patch_size)
-                pairs.append((upsample_nearest(grid, patch_size), None,
-                              np.asarray(img, dtype=np.float32)))
+            averages = dict.fromkeys(labels)
+        aug, _ = make_augmented_pairs(augment_images, averages, patch_size)
+        pairs.extend((a.shape, a.semantics, a.image) for a in aug)
 
     gen = build_generator(gan_config)
     disc = build_discriminator(gan_config)
     loss_log = train(gen, disc, pairs, gan_config)
 
-    recons = []
-    for r in test_recs:
-        r_sp = decode_shape(shape_dec, r, layout)
-        r_sm = semantic_features(sem_net, r, layout) if sem_net is not None else None
-        recons.append(generate(gen, r_sp, r_sm))
+    _, recons = reconstruct_records(gen, shape_dec, sem_net, test_recs, ds.layout)
     gts = [ds.stimuli[r.stimulus_id] for r in test_recs]
     report = pairwise_win_rate(recons, gts, runs=runs, seed=gan_config.seed)
     return PipelineResult(mode, shape_dec, sem_net, gen, disc, loss_log,
-                          recons, test_recs, report)
-
-
-def ablation_run(mode: str, ds: Dataset, gan_config: GanTrainConfig,
-                 **kwargs) -> PipelineResult:
-    """Named-mode wrapper around run_pipeline with identical seeding."""
-    return run_pipeline(ds, gan_config, mode=mode, **kwargs)
+                          list(recons), test_recs, report)
 
 
 # -- reports ------------------------------------------------------------

@@ -9,8 +9,6 @@ alternates one discriminator step and one generator step per batch.
 from __future__ import annotations
 
 import csv
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +19,8 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError
 from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish
 from .optim import Adam
 from .patches import extract_patch_features, upsample_nearest
-from .serial import read_array, write_array
-from .shape_decoder import decode_shape
-from .semantic import semantic_features
+from .serial import (open_artifact, read_array, read_header, write_array,
+                     write_header)
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"GAN1"
@@ -50,6 +47,8 @@ class GanTrainConfig:
             raise ConfigError("resolution must be a power of two >= 16")
         if not self.decay_start < self.epochs:
             raise ConfigError("decay_start must be < epochs")
+        if self.batch < 1:
+            raise ConfigError("batch must be >= 1, got %d" % self.batch)
         if self.semantic_dim < 0:
             raise ConfigError("semantic_dim must be >= 0")
         if self.disc_mode not in ("patch", "global"):
@@ -139,8 +138,7 @@ class DiscriminatorNet(Sequentialish):
             h = T.leaky_relu(h, 0.2)
         logits = self.head(h)
         if self.config.disc_mode == "global":
-            logits = T.reshape(T.tmean(logits), (1, 1, 1, 1)) if logits.shape[0] == 1 \
-                else _spatial_mean(logits)
+            logits = _spatial_mean(logits)
         return T.sigmoid(logits)
 
 
@@ -302,25 +300,32 @@ def write_loss_log(path, log) -> None:
                         "%.8g" % row["g_total"]])
 
 
+def generate_batch(generator: GeneratorNet, shapes: np.ndarray,
+                   semantics: np.ndarray | None) -> np.ndarray:
+    """Eval-mode forward over (n, S, S) shapes and (n, d) semantics.
+
+    Runs in chunks of ``config.batch`` to bound memory; eval-mode batch norm
+    treats every sample on its own, so chunking does not change the output.
+    """
+    generator.set_training(False)
+    shapes = np.asarray(shapes, dtype=np.float32)
+    sems = None
+    if generator.config.semantic_dim and semantics is not None:
+        sems = np.asarray(semantics, dtype=np.float32)
+    step = generator.config.batch
+    out = np.empty_like(shapes)
+    for lo in range(0, len(shapes), step):
+        hi = lo + step
+        sem = Tensor(sems[lo:hi]) if sems is not None else None
+        out[lo:hi] = generator.forward(Tensor(shapes[lo:hi, None]), sem).data[:, 0]
+    return out
+
+
 def generate(generator: GeneratorNet, shape_img: np.ndarray,
              semantics: np.ndarray | None) -> np.ndarray:
     """Eval-mode forward pass for a single (shape, semantics) pair."""
-    generator.set_training(False)
-    x = Tensor(np.asarray(shape_img, dtype=np.float32)[None, None])
-    sem = None
-    if generator.config.semantic_dim:
-        sem = Tensor(np.asarray(semantics, dtype=np.float32)[None])
-    return generator.forward(x, sem).data[0, 0]
-
-
-def reconstruct(generator: GeneratorNet, shape_decoder, semantic_net, record,
-                layout) -> np.ndarray:
-    """Full pipeline for one record: decode shape + semantics, then generate."""
-    r_sp = decode_shape(shape_decoder, record, layout)
-    r_sm = None
-    if generator.config.semantic_dim:
-        r_sm = semantic_features(semantic_net, record, layout)
-    return generate(generator, r_sp, r_sm)
+    sems = None if semantics is None else np.asarray(semantics)[None]
+    return generate_batch(generator, np.asarray(shape_img)[None], sems)[0]
 
 
 # -- persistence --------------------------------------------------------
@@ -328,27 +333,22 @@ def reconstruct(generator: GeneratorNet, shape_decoder, semantic_net, record,
 def save_checkpoint(path, generator: GeneratorNet,
                     discriminator: DiscriminatorNet) -> None:
     cfg = generator.config
-    blob = json.dumps({
+    doc = {
         "resolution": cfg.resolution, "lambda_img": cfg.lambda_img,
         "lr": cfg.lr, "beta1": cfg.beta1, "beta2": cfg.beta2,
         "batch": cfg.batch, "epochs": cfg.epochs, "decay_start": cfg.decay_start,
         "base_channels": cfg.base_channels, "semantic_dim": cfg.semantic_dim,
         "disc_mode": cfg.disc_mode, "seed": cfg.seed,
-    }).encode()
+    }
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        write_header(fh, CHECKPOINT_MAGIC, doc)
         for arr in generator.state_arrays() + discriminator.state_arrays():
             write_array(fh, arr)
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise DataError("bad checkpoint magic")
-        (ln,) = struct.unpack("<I", fh.read(4))
-        config = GanTrainConfig(**json.loads(fh.read(ln).decode()))
+    with open_artifact(path, CHECKPOINT_MAGIC) as fh:
+        config = GanTrainConfig(**read_header(fh))
         generator = build_generator(config)
         discriminator = build_discriminator(config)
         for arr in generator.state_arrays() + discriminator.state_arrays():

@@ -20,11 +20,6 @@ class Layer:
         """All arrays that define the layer (parameters + running stats)."""
         return [p.data for p in self.parameters()]
 
-    def load_state_arrays(self, arrays):
-        own = self.state_arrays()
-        for dst, src in zip(own, arrays):
-            dst[...] = src
-
     def __call__(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
@@ -114,13 +109,6 @@ class Sequentialish:
         for lay in self.layers:
             out.extend(lay.state_arrays())
         return out
-
-    def load_state_arrays(self, arrays):
-        it = iter(arrays)
-        for lay in self.layers:
-            own = lay.state_arrays()
-            for dst in own:
-                dst[...] = next(it)
 
     def set_training(self, flag: bool):
         for lay in self.layers:

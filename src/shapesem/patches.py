@@ -22,5 +22,6 @@ def extract_patch_features(image: np.ndarray, m: int) -> np.ndarray:
 
 
 def upsample_nearest(grid: np.ndarray, m: int) -> np.ndarray:
-    """Block-replicate a g x g grid to (g*m) x (g*m)."""
-    return np.repeat(np.repeat(np.asarray(grid, dtype=np.float32), m, axis=0), m, axis=1)
+    """Block-replicate the last two axes of a (..., g, g) grid to g*m."""
+    grid = np.asarray(grid, dtype=np.float32)
+    return np.repeat(np.repeat(grid, m, axis=-2), m, axis=-1)

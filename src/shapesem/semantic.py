@@ -8,8 +8,6 @@ the augmentation vectors.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,8 @@ from .dataset import Dataset, TrialRecord
 from .errors import ConfigError, DataError
 from .nn import Linear
 from .optim import Adam
-from .serial import read_array, write_array
+from .serial import (open_artifact, read_array, read_header, write_array,
+                     write_header)
 from .tensor import Tensor
 
 NET_MAGIC = b"SEM1"
@@ -41,6 +40,8 @@ class SemanticNetConfig:
             raise ConfigError("hidden2 must be >= 2")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
+        if self.batch < 1:
+            raise ConfigError("batch must be >= 1, got %d" % self.batch)
 
 
 class SemanticNet:
@@ -81,7 +82,7 @@ def train_semantic(ds: Dataset, config: SemanticNetConfig | None = None,
     if config.in_dim != len(idx):
         raise ConfigError("config.in_dim %d != ROI voxel count %d"
                           % (config.in_dim, len(idx)))
-    x = np.stack([r.voxels[idx] for r in train]).astype(np.float32)
+    x = ds.layout.matrix(train, roi_set)
     net = SemanticNet(config)
     net.x_mean = x.mean(axis=0)
     net.x_std = x.std(axis=0) + 1e-6
@@ -107,22 +108,32 @@ def train_semantic(ds: Dataset, config: SemanticNetConfig | None = None,
     return net
 
 
+def _inputs(net: SemanticNet, records, layout) -> Tensor:
+    return Tensor(net._normalize(layout.matrix(records, net.roi_set)))
+
+
+def semantic_features_batch(net: SemanticNet, records, layout) -> np.ndarray:
+    """(n, hidden2) penultimate Tanh activations; values in (-1, 1)."""
+    return net.penultimate(_inputs(net, records, layout)).data
+
+
 def semantic_features(net: SemanticNet, record: TrialRecord, layout) -> np.ndarray:
     """Penultimate Tanh activations for one record; values in (-1, 1)."""
-    x = record.voxels[layout.indices(net.roi_set)]
-    return net.penultimate(Tensor(net._normalize(x)[None])).data[0]
+    return semantic_features_batch(net, [record], layout)[0]
+
+
+def classify_batch(net: SemanticNet, records, layout) -> np.ndarray:
+    """Argmax over sigmoid output scores; ties break to the lowest index."""
+    return np.argmax(net.scores(_inputs(net, records, layout)).data, axis=1)
 
 
 def classify(net: SemanticNet, record: TrialRecord, layout) -> int:
-    """Argmax over sigmoid output scores; ties break to the lowest index."""
-    x = record.voxels[layout.indices(net.roi_set)]
-    scores = net.scores(Tensor(net._normalize(x)[None])).data[0]
-    return int(np.argmax(scores))
+    return int(classify_batch(net, [record], layout)[0])
 
 
 def accuracy(net: SemanticNet, ds: Dataset, records) -> float:
-    hits = [classify(net, r, ds.layout) == r.category_id for r in records]
-    return float(np.mean(hits))
+    labels = np.array([r.category_id for r in records])
+    return float(np.mean(classify_batch(net, records, ds.layout) == labels))
 
 
 def category_average(features, labels) -> dict:
@@ -144,17 +155,15 @@ def category_average(features, labels) -> dict:
 # -- persistence --------------------------------------------------------
 
 def save_semantic_net(net: SemanticNet, path) -> None:
-    blob = json.dumps({
+    doc = {
         "in_dim": net.config.in_dim, "n_classes": net.config.n_classes,
         "hidden1": net.config.hidden1, "hidden2": net.config.hidden2,
         "epochs": net.config.epochs, "lr": net.config.lr,
         "batch": net.config.batch, "seed": net.config.seed,
         "roi_set": getattr(net, "roi_set", "HVC"),
-    }).encode()
+    }
     with open(path, "wb") as fh:
-        fh.write(NET_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        write_header(fh, NET_MAGIC, doc)
         write_array(fh, net.x_mean)
         write_array(fh, net.x_std)
         for p in net.parameters():
@@ -162,11 +171,8 @@ def save_semantic_net(net: SemanticNet, path) -> None:
 
 
 def load_semantic_net(path) -> SemanticNet:
-    with open(path, "rb") as fh:
-        if fh.read(4) != NET_MAGIC:
-            raise DataError("bad semantic-net magic")
-        (ln,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(ln).decode())
+    with open_artifact(path, NET_MAGIC) as fh:
+        meta = read_header(fh)
         roi_set = meta.pop("roi_set")
         net = SemanticNet(SemanticNetConfig(**meta))
         net.roi_set = roi_set

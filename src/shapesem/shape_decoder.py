@@ -16,7 +16,7 @@ from .dataset import Dataset, TrialRecord
 from .errors import DataError
 from .linalg import ridge_solve
 from .patches import extract_patch_features, upsample_nearest
-from .serial import read_array, write_array
+from .serial import open_artifact, read_array, write_array
 
 DECODER_MAGIC = b"SHD1"
 DEFAULT_LAMBDA = 1e-2  # scaled by trace(X'X)/d at fit time
@@ -33,9 +33,10 @@ class BaseShapeDecoder:
     lam: float
 
     def predict(self, voxels: np.ndarray) -> np.ndarray:
-        """Affine map then clip to [0,1]; returns a g x g grid."""
+        """Affine map then clip to [0,1]; (..., d) voxels -> (..., g, g)."""
         out = voxels.astype(np.float64) @ self.weights + self.bias
-        return np.clip(out, 0.0, 1.0).astype(np.float32).reshape(self.grid, self.grid)
+        out = np.clip(out, 0.0, 1.0).astype(np.float32)
+        return out.reshape(voxels.shape[:-1] + (self.grid, self.grid))
 
 
 @dataclass
@@ -46,8 +47,9 @@ class ShapeCombiner:
     weights: np.ndarray  # (g, g, K)
 
     def combine(self, predictions: dict) -> np.ndarray:
+        """roi -> (..., g, g) predictions to one (..., g, g) combined grid."""
         stack = np.stack([predictions[r] for r in self.rois], axis=-1)
-        out = np.einsum("ijk,ijk->ij", stack.astype(np.float64), self.weights)
+        out = np.einsum("...ijk,ijk->...ij", stack.astype(np.float64), self.weights)
         return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
@@ -81,8 +83,7 @@ def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
     p_mean = p.mean(axis=0)
     out = {}
     for roi in rois:
-        idx = ds.layout.indices(roi)
-        x = np.stack([r.voxels[idx] for r in train]).astype(np.float64)
+        x = ds.layout.matrix(train, roi).astype(np.float64)
         x_mean = x.mean(axis=0)
         xc, pc = x - x_mean, p - p_mean
         lam_eff = lam * np.trace(xc.T @ xc) / xc.shape[1] if lam > 0 else 0.0
@@ -94,7 +95,7 @@ def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
 
 def predict_base(decoder: BaseShapeDecoder, record: TrialRecord,
                  layout) -> np.ndarray:
-    return decoder.predict(record.voxels[layout.indices(decoder.roi)])
+    return decoder.predict(layout.matrix([record], decoder.roi))[0]
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -137,21 +138,23 @@ def fit_shape_decoder(ds: Dataset, rois=("V1", "V2", "V3"),
                       convex: bool = False) -> ShapeDecoder:
     decoders = fit_base_decoders(ds, rois, lam, m)
     train = ds.split_records("train")
-    preds = {
-        roi: np.stack([predict_base(dec, r, ds.layout) for r in train])
-        for roi, dec in decoders.items()
-    }
+    preds = {roi: dec.predict(ds.layout.matrix(train, roi))
+             for roi, dec in decoders.items()}
     g = ds.image_size // m
     targets = _targets(ds, train, m).reshape(-1, g, g)
     return ShapeDecoder(decoders, fit_combiner(preds, targets, convex), m)
 
 
+def decode_shape_batch(decoder: ShapeDecoder, records, layout) -> np.ndarray:
+    """(n, S, S) full-resolution decoded shape images in [0,1]."""
+    preds = {roi: dec.predict(layout.matrix(records, roi))
+             for roi, dec in decoder.decoders.items()}
+    return upsample_nearest(decoder.combiner.combine(preds), decoder.patch_size)
+
+
 def decode_shape(decoder: ShapeDecoder, record: TrialRecord, layout) -> np.ndarray:
     """Full-resolution decoded shape image in [0,1]."""
-    preds = {roi: predict_base(dec, record, layout)
-             for roi, dec in decoder.decoders.items()}
-    grid = decoder.combiner.combine(preds)
-    return upsample_nearest(grid, decoder.patch_size)
+    return decode_shape_batch(decoder, [record], layout)[0]
 
 
 # -- persistence --------------------------------------------------------
@@ -174,9 +177,7 @@ def save_shape_decoder(decoder: ShapeDecoder, path) -> None:
 
 
 def load_shape_decoder(path) -> ShapeDecoder:
-    with open(path, "rb") as fh:
-        if fh.read(4) != DECODER_MAGIC:
-            raise DataError("bad shape-decoder magic")
+    with open_artifact(path, DECODER_MAGIC) as fh:
         n_roi, m = struct.unpack("<II", fh.read(8))
         rois = []
         for _ in range(n_roi):

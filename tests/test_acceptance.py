@@ -14,8 +14,7 @@ import numpy as np
 from shapesem import tensor as T
 from shapesem.cli import main as cli_main
 from shapesem.dataset import SyntheticConfig, simulate
-from shapesem.evaluation import (ablation_run, pairwise_win_rate, roi_ablation,
-                                 run_pipeline, ssim)
+from shapesem.evaluation import pairwise_win_rate, roi_ablation, run_pipeline, ssim
 from shapesem.gan import (GanTrainConfig, build_discriminator, build_generator,
                           discriminator_loss, generator_loss, train)
 from shapesem.linalg import ridge_solve
@@ -241,8 +240,8 @@ def test_acceptance_7_end_to_end_pipeline():
                                       identical_shapes=True, seed=321))
     cfg2 = GanTrainConfig(resolution=32, epochs=60, decay_start=40, batch=10,
                           base_channels=16, semantic_dim=64, lr=2e-4, seed=0)
-    full2 = ablation_run("full", ds2, cfg2, runs=5)
-    nosem2 = ablation_run("no_semantics", ds2, cfg2, runs=5)
+    full2 = run_pipeline(ds2, cfg2, mode="full", runs=5)
+    nosem2 = run_pipeline(ds2, cfg2, mode="no_semantics", runs=5)
 
     def intensity_gap(result):
         values = [img[ds2.masks[r.stimulus_id] > 0.5].mean()

@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 
 import pytest
 
@@ -222,3 +223,57 @@ def test_report_with_no_csvs_fails(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert "simulate" in capsys.readouterr().out
+
+
+TINY_SIM = ["--set", "image_size=16", "--set", "categories=2",
+            "--set", "n_train=8", "--set", "n_test=4", "--set", "test_trials=1"]
+TINY_MODELS = ["--set", "gan_epochs=2", "--set", "gan_decay_start=1",
+               "--set", "gan_batch=4", "--set", "gan_base_channels=2",
+               "--set", "gan_semantic_dim=4", "--set", "sem_hidden1=8",
+               "--set", "sem_hidden2=4", "--set", "sem_epochs=2"]
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A tiny dataset with all three trained artifacts next to each other."""
+    root = tmp_path_factory.mktemp("tiny")
+    ds, art = str(root / "ds"), str(root / "art")
+    assert run_cli("simulate", "--seed", "0", "--out", ds, *TINY_SIM) == 0
+    for cmd in ("train-shape", "train-semantic", "train-gan"):
+        assert run_cli(cmd, "--seed", "0", "--dataset", ds, "--out", art,
+                       *TINY_MODELS) == 0
+    return ds, art
+
+
+def _inside_header(blob, name):
+    if name == "shape_decoder.shd":
+        return blob[:14]  # inside the first ROI name's length field
+    return blob[:8 + int.from_bytes(blob[4:8], "little") // 2]  # in the JSON
+
+
+@pytest.mark.parametrize("damage", ["header", "payload", "trailing"])
+@pytest.mark.parametrize("name", ["gan.ckpt", "semantic_net.sem",
+                                  "shape_decoder.shd"])
+def test_damaged_artifact_names_file(tiny_model, tmp_path, capsys, name, damage):
+    """A truncated or overlong artifact exits 1 with the file named."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    blob = (out / name).read_bytes()
+    (out / name).write_bytes({"header": _inside_header(blob, name),
+                              "payload": blob[:-1],
+                              "trailing": blob + bytes(64)}[damage])
+    assert run_cli("evaluate", "--dataset", ds, "--out", str(out),
+                   "--metric", "recon", "--seed", "0") == 1
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, key", [("train-gan", "gan_batch"),
+                                      ("train-semantic", "sem_batch")])
+def test_zero_batch_rejected(tiny_model, tmp_path, capsys, cmd, key):
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    assert run_cli(cmd, "--seed", "0", "--dataset", ds, "--out", str(out),
+                   *TINY_MODELS, "--set", key + "=0") == 1
+    assert "batch must be >= 1" in capsys.readouterr().err

@@ -133,6 +133,13 @@ class TestPgm:
         assert np.allclose(back, img, atol=1e-7)
         assert (tmp_path / "x.pgm").read_bytes()[:2] == b"P5"
 
+    @pytest.mark.parametrize("maxval", [0, 65535])
+    def test_maxval_outside_8_bit_rejected(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
+        with pytest.raises(DataError, match="m.pgm"):
+            read_pgm(path)
+
 
 class TestAverageTestTrials:
     def test_single_trial_unchanged(self):

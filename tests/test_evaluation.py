@@ -5,11 +5,11 @@ import pytest
 
 from shapesem.dataset import SyntheticConfig, read_pgm, simulate
 from shapesem.errors import DataError, DimensionError
-from shapesem.evaluation import (EvalReport, SsimParams, ablation_run,
-                                 pairwise_win_rate, report_rows, roi_ablation,
+from shapesem.evaluation import (EvalReport, SsimParams, pairwise_win_rate,
+                                 reconstruct_records, report_rows, roi_ablation,
                                  run_pipeline, ssim, write_montage,
                                  write_report_csv, _gaussian_window)
-from shapesem.gan import GanTrainConfig
+from shapesem.gan import GanTrainConfig, build_generator
 
 
 def brute_force_ssim(a, b, params=None):
@@ -175,20 +175,78 @@ class TestPipeline:
                                     hidden2=8, epochs=20, seed=2)
         a = run_pipeline(small_pipeline_ds, SMALL_GAN,
                          semantic_config=sem_cfg, runs=2)
-        b = ablation_run("full", small_pipeline_ds, SMALL_GAN,
+        b = run_pipeline(small_pipeline_ds, SMALL_GAN, mode="full",
                          semantic_config=sem_cfg, runs=2)
         for x, y in zip(a.reconstructions, b.reconstructions):
             assert np.array_equal(x, y)
         assert a.report == b.report
 
     def test_no_semantics_mode_drops_conditioning(self, small_pipeline_ds):
-        res = ablation_run("no_semantics", small_pipeline_ds, SMALL_GAN, runs=2)
+        res = run_pipeline(small_pipeline_ds, SMALL_GAN, mode="no_semantics",
+                           runs=2)
         assert res.semantic_net is None
         assert res.generator.config.semantic_dim == 0
 
     def test_unknown_mode_rejected(self, small_pipeline_ds):
         with pytest.raises(DataError):
-            ablation_run("bogus", small_pipeline_ds, SMALL_GAN)
+            run_pipeline(small_pipeline_ds, SMALL_GAN, mode="bogus")
+
+
+class TestBatchedStages:
+    """The shared batched stages give what the per-record calls give, on a
+    record count that leaves a short last generator chunk."""
+
+    @pytest.fixture(scope="class")
+    def models(self, small_pipeline_ds):
+        from shapesem.dataset import average_test_trials
+        from shapesem.semantic import SemanticNetConfig, train_semantic
+        from shapesem.shape_decoder import fit_shape_decoder
+
+        ds = average_test_trials(small_pipeline_ds)
+        sem_cfg = SemanticNetConfig(in_dim=90, n_classes=4, hidden1=32,
+                                    hidden2=8, epochs=5, seed=2)
+        records = ds.split_records("train")[:11]
+        assert len(records) % SMALL_GAN.batch
+        return (ds, records, fit_shape_decoder(ds), train_semantic(ds, sem_cfg),
+                build_generator(SMALL_GAN))
+
+    def test_shape_decode_bitwise(self, models):
+        from shapesem.shape_decoder import decode_shape, decode_shape_batch
+
+        ds, records, dec, _, _ = models
+        single = np.stack([decode_shape(dec, r, ds.layout) for r in records])
+        assert np.array_equal(decode_shape_batch(dec, records, ds.layout), single)
+
+    def test_semantic_features_match(self, models):
+        from shapesem.semantic import semantic_features, semantic_features_batch
+
+        ds, records, _, net, _ = models
+        single = np.stack([semantic_features(net, r, ds.layout) for r in records])
+        batched = semantic_features_batch(net, records, ds.layout)
+        assert batched.shape == single.shape
+        assert np.max(np.abs(batched - single)) <= 1e-6
+
+    def test_reconstruction_matches_per_record_generate(self, models):
+        from shapesem.gan import generate
+        from shapesem.semantic import semantic_features
+        from shapesem.shape_decoder import decode_shape
+
+        ds, records, dec, net, gen = models
+        shapes, recons = reconstruct_records(gen, dec, net, records, ds.layout)
+        single = np.stack([generate(gen, decode_shape(dec, r, ds.layout),
+                                    semantic_features(net, r, ds.layout))
+                           for r in records])
+        assert np.array_equal(shapes, np.stack([decode_shape(dec, r, ds.layout)
+                                                for r in records]))
+        assert recons.shape == single.shape == (11, 16, 16)
+        assert np.max(np.abs(recons - single)) <= 1e-6
+
+    def test_accuracy_is_mean_of_classify(self, models):
+        from shapesem.semantic import accuracy, classify
+
+        ds, records, _, net, _ = models
+        hits = [classify(net, r, ds.layout) == r.category_id for r in records]
+        assert accuracy(net, ds, records) == np.mean(hits)
 
 
 class TestReports:
