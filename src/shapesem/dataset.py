@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, LayoutError
 from .patches import extract_patch_features
+from .serial import open_artifact
 
 REQUIRED_ROIS = ("V1", "V2", "V3", "LOC", "FFA", "PPA")
 LVC_ROIS = ("V1", "V2", "V3")
@@ -142,12 +143,16 @@ class Dataset:
 # -- PGM I/O ------------------------------------------------------------
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a [0,1] float image as binary P5, maxval 255."""
-    data = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    px = np.round(data * 255.0).astype(np.uint8)
+    """Write a [0,1] float image as binary P5, maxval 255, quantised in
+    float64 a block of rows at a time rather than as a whole-image copy."""
+    image = np.asarray(image)
+    h, w = image.shape
+    step = max(1, (1 << 16) // max(w, 1))
     with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (px.shape[1], px.shape[0]))
-        fh.write(px.tobytes())
+        fh.write(b"P5\n%d %d\n255\n" % (w, h))
+        for lo in range(0, h, step):
+            block = np.clip(image[lo : lo + step].astype(np.float64), 0.0, 1.0)
+            fh.write(np.round(block * 255.0).astype(np.uint8).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -218,10 +223,10 @@ def load_dataset(root) -> Dataset:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataError("cannot read manifest: %s" % exc)
+    except ValueError as exc:
+        raise DataError("%s: %s" % (root / "manifest.json", exc)) from exc
     layout = RoiLayout(tuple((name, (lo, hi)) for name, lo, hi in manifest["rois"]))
-    with open(root / "voxels.bin", "rb") as fh:
-        if fh.read(4) != VOXEL_MAGIC:
-            raise DataError("bad voxel file magic")
+    with open_artifact(root / "voxels.bin", VOXEL_MAGIC) as fh:
         n_rec, n_vox = struct.unpack("<II", fh.read(8))
         if n_vox != layout.total_voxels:
             raise DataError("voxel count %d does not match layout %d"
@@ -230,7 +235,7 @@ def load_dataset(root) -> Dataset:
             raise DataError("record count mismatch between manifest and voxels.bin")
         rows = np.frombuffer(fh.read(4 * n_rec * n_vox), dtype="<f4")
         if rows.size != n_rec * n_vox:
-            raise DataError("truncated voxels.bin")
+            raise DataError("truncated voxel rows")
         rows = rows.reshape(n_rec, n_vox)
     records = [
         TrialRecord(m["stimulus_id"], int(m["category_id"]), m["split"],

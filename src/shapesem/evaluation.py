@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,29 +41,56 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams | None = None) -> float:
-    """Mean structural similarity over sliding Gaussian windows."""
-    params = params or SsimParams()
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError("ssim inputs differ: %s vs %s" % (a.shape, b.shape))
-    win = _gaussian_window(params.window_size, params.sigma)
-    wa = np.lib.stride_tricks.sliding_window_view(a, win.shape)
-    wb = np.lib.stride_tricks.sliding_window_view(b, win.shape)
-    mu_a = np.tensordot(wa, win, axes=2)
-    mu_b = np.tensordot(wb, win, axes=2)
-    ea2 = np.tensordot(wa * wa, win, axes=2)
-    eb2 = np.tensordot(wb * wb, win, axes=2)
-    eab = np.tensordot(wa * wb, win, axes=2)
-    var_a = ea2 - mu_a ** 2
-    var_b = eb2 - mu_b ** 2
-    cov = eab - mu_a * mu_b
+_PAIR_CHUNK = 256  # image pairs per float64 block of cross terms
+
+
+@functools.lru_cache(maxsize=8)
+def _band(size: int, window: int, sigma: float) -> np.ndarray:
+    """(size - window + 1, size) rows of the normalised 1-D Gaussian at every
+    valid offset, so that ``band @ x @ band.T`` is the windowed mean of x."""
+    if window > size:
+        raise DimensionError("image side %d is below the SSIM window" % size)
+    g = _gaussian_window(window, sigma).sum(axis=0)
+    band = np.zeros((size - window + 1, size))
+    for r in range(len(band)):
+        band[r, r : r + window] = g
+    band.flags.writeable = False  # cached and shared by every caller
+    return band
+
+
+def _filter(stack: np.ndarray, params: SsimParams) -> np.ndarray:
+    """Windowed means of each image of an (n, H, W) stack: one small gemm per
+    image and side, so no result depends on its position in the stack."""
+    _, h, w = stack.shape
+    return (_band(h, params.window_size, params.sigma) @ stack
+            @ _band(w, params.window_size, params.sigma).T)
+
+
+def _ssim_pairs(a, b, i, j, params: SsimParams) -> np.ndarray:
+    """Mean SSIM of a[i[k]] against b[j[k]] for every k: local means and
+    variances once per image, per pair only the cross term, in chunks."""
+    if a.shape[1:] != b.shape[1:]:
+        raise DimensionError("ssim inputs differ: %s vs %s" % (a.shape[1:], b.shape[1:]))
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    mu_a, mu_b = _filter(a, params), _filter(b, params)
+    var_a = _filter(a * a, params) - mu_a ** 2
+    var_b = _filter(b * b, params) - mu_b ** 2
+    out = np.empty(len(i))
+    for lo in range(0, len(i), _PAIR_CHUNK):
+        ii, jj = i[lo : lo + _PAIR_CHUNK], j[lo : lo + _PAIR_CHUNK]
+        ma, mb = mu_a[ii], mu_b[jj]
+        cov = _filter(a[ii] * b[jj], params) - ma * mb
+        num = (2 * ma * mb + c1) * (2 * cov + c2)
+        den = (ma ** 2 + mb ** 2 + c1) * (var_a[ii] + var_b[jj] + c2)
+        out[lo : lo + len(ii)] = (num / den).mean(axis=(1, 2))
+    return out
+
+
+def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams | None = None) -> float:
+    """Mean structural similarity over sliding Gaussian windows."""
+    a, b = (np.asarray(x, dtype=np.float64)[None] for x in (a, b))
+    return float(_ssim_pairs(a, b, [0], [0], params or SsimParams())[0])
 
 
 @dataclass
@@ -82,25 +110,20 @@ def pairwise_win_rate(recons, ground_truths, runs: int = 5, seed: int = 0,
     if len(recons) != len(ground_truths) or len(recons) < 2:
         raise DataError("need aligned lists with at least 2 images")
     n = len(recons)
-    own = [ssim(recons[i], ground_truths[i], params) for i in range(n)]
-    cache = {}
-    run_rates = []
+    idx = np.arange(n)
+    # pair keys i * n + j: row 0 the own pairs, row r + 1 run r's distractors,
+    # drawn in one sized call that yields the same values as n scalar draws
+    keys = [idx * (n + 1)]
     for run in range(runs):
-        rng = np.random.default_rng([seed, run])
-        wins = 0.0
-        for i in range(n):
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            if (i, j) not in cache:
-                cache[(i, j)] = ssim(recons[i], ground_truths[j], params)
-            other = cache[(i, j)]
-            if own[i] > other:
-                wins += 1.0
-            elif own[i] == other:
-                wins += 0.5
-        run_rates.append(wins / n)
-    return EvalReport(own, run_rates, float(np.mean(run_rates)), runs, seed)
+        j = np.random.default_rng([seed, run]).integers(n - 1, size=n)
+        keys.append(idx * n + j + (j >= idx))
+    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    a, b = (np.asarray(x, dtype=np.float64) for x in (recons, ground_truths))
+    scores = _ssim_pairs(a, b, pairs // n, pairs % n, params or SsimParams())
+    own, other = np.split(scores[inverse].reshape(runs + 1, n), [1])
+    wins = ((own > other) + 0.5 * (own == other)).sum(axis=1)
+    run_rates = [float(w) / n for w in wins]
+    return EvalReport(own[0].tolist(), run_rates, float(np.mean(run_rates)), runs, seed)
 
 
 # -- pipeline stages over whole record lists ----------------------------

@@ -277,3 +277,33 @@ def test_zero_batch_rejected(tiny_model, tmp_path, capsys, cmd, key):
     assert run_cli(cmd, "--seed", "0", "--dataset", ds, "--out", str(out),
                    *TINY_MODELS, "--set", key + "=0") == 1
     assert "batch must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, damage", [("manifest.json", "truncated"),
+                                          ("voxels.bin", "truncated"),
+                                          ("voxels.bin", "trailing")])
+def test_damaged_dataset_names_file(tiny_model, tmp_path, capsys, name, damage):
+    """A dataset file cut short or followed by junk exits 1 with the file
+    named, instead of a traceback or a silent load."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    blob = (bad / name).read_bytes()
+    (bad / name).write_bytes({"truncated": blob[: len(blob) // 2],
+                              "trailing": blob + bytes(64)}[damage])
+    assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
+                   "--out", str(tmp_path / "art")) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_training_artifacts_byte_identical(tiny_model, tmp_path):
+    """Repeating the seeded train-semantic and train-gan runs rewrites their
+    artifacts byte for byte."""
+    ds, art = tiny_model
+    again = tmp_path / "again"
+    for cmd in ("train-shape", "train-semantic", "train-gan"):
+        assert run_cli(cmd, "--seed", "0", "--dataset", ds, "--out", str(again),
+                       *TINY_MODELS) == 0
+    for name in ("semantic_net.sem", "gan.ckpt", "gan_loss.csv"):
+        assert (again / name).read_bytes() == open(os.path.join(art, name),
+                                                   "rb").read(), name

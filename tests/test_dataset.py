@@ -140,6 +140,25 @@ class TestPgm:
         with pytest.raises(DataError, match="m.pgm"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_whole_image_quantisation(self, tmp_path, dtype):
+        """Row-block quantisation writes the bytes of clip, scale by 255 and
+        round on the whole image in float64, also across block edges, for
+        out-of-range pixels and for exact half steps."""
+        rng = np.random.default_rng(0)
+        img = rng.uniform(-0.5, 1.5, (700, 130)).astype(dtype)
+        half = (np.arange(256) + 0.5) / 255.0
+        img[:2, :128] = half.reshape(2, 128)
+        img[2, :5] = [-np.inf, -1e-9, 1.0 + 1e-9, 7.0, np.inf]
+        for name, image in (("tall", img), ("strided", img[::3, ::2]),
+                            ("one_row", img[:1])):
+            path = tmp_path / (name + ".pgm")
+            write_pgm(path, image)
+            data = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
+            px = np.round(data * 255.0).astype(np.uint8)
+            assert path.read_bytes() == (b"P5\n%d %d\n255\n" % px.shape[::-1]
+                                         + px.tobytes()), name
+
 
 class TestAverageTestTrials:
     def test_single_trial_unchanged(self):

@@ -120,6 +120,67 @@ class TestPairwiseWinRate:
         assert report.reference["full"] == pytest.approx(0.653)
 
 
+def reference_win_rate(recons, gts, runs, seed):
+    """The identification protocol pair by pair: one brute-force SSIM per
+    comparison and one scalar distractor draw per image and run."""
+    n = len(recons)
+    own = [brute_force_ssim(recons[i], gts[i]) for i in range(n)]
+    rates = []
+    for run in range(runs):
+        rng = np.random.default_rng([seed, run])
+        wins = 0.0
+        for i in range(n):
+            j = int(rng.integers(n - 1))
+            j += j >= i
+            other = brute_force_ssim(recons[i], gts[j])
+            wins += 1.0 if own[i] > other else 0.5 if own[i] == other else 0.0
+        rates.append(wins / n)
+    return own, rates
+
+
+def related_images(n, size=14, seed=0):
+    """Ground truths with some exact duplicates, and reconstructions that
+    only partly resemble them, so that both wins and losses occur."""
+    rng = np.random.default_rng(seed)
+    gts = [rng.random((size, size)).astype(np.float32) for _ in range(n)]
+    for k in range(1, n, 7):
+        gts[k] = gts[k - 1].copy()
+    recons = [0.1 * g + 0.9 * rng.random(g.shape) for g in gts]
+    return recons, gts
+
+
+class TestBatchedIdentification:
+    @pytest.mark.parametrize("n", [2, 37])
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_matches_pairwise_reference(self, n, runs):
+        recons, gts = related_images(n)
+        report = pairwise_win_rate(recons, gts, runs=runs, seed=4)
+        own, rates = reference_win_rate(recons, gts, runs, seed=4)
+        assert np.max(np.abs(np.array(report.per_image_ssim) - own)) <= 1e-12
+        assert report.run_win_rates == rates
+        assert n == 2 or 0.0 < min(rates) <= max(rates) < 1.0
+
+    def test_duplicated_ground_truths_tie(self):
+        recons, gts = related_images(6)
+        report = pairwise_win_rate(recons, [gts[0]] * 6, runs=5, seed=0)
+        assert report.run_win_rates == [0.5] * 5
+
+    def test_single_call_equals_batched_own_pair(self):
+        recons, gts = related_images(37, size=32)
+        report = pairwise_win_rate(recons, gts, runs=5, seed=2)
+        assert [ssim(r, g) for r, g in zip(recons, gts)] == report.per_image_ssim
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 300])
+    def test_distractor_draws_match_scalar_sequence(self, n):
+        """The protocol draws each run's distractors with one sized
+        ``integers`` call; it yields the scalar-call sequence."""
+        for seed, run in ((0, 0), (7, 4), (123, 2)):
+            rng = np.random.default_rng([seed, run])
+            scalar = [int(rng.integers(n - 1)) for _ in range(n)]
+            sized = np.random.default_rng([seed, run]).integers(n - 1, size=n)
+            assert sized.tolist() == scalar
+
+
 class TestRoiAblation:
     def test_directional_hierarchy(self, noisy_sim):
         ds, _ = noisy_sim
