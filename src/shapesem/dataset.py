@@ -5,7 +5,7 @@ Directory layout::
 
     root/
       manifest.json     # ROI layout, categories, record table
-      voxels.bin        # "VOX1", u32 n_records, u32 n_voxels, float32 rows
+      voxels.bin        # serial artifact "VOX1": one (n_voxels,) tensor per record
       stimuli/<id>.pgm  # binary P5, maxval 255, grayscale in [0,1]
       masks/<id>.pgm    # binary P5, values 0/255
 """
@@ -13,7 +13,6 @@ Directory layout::
 from __future__ import annotations
 
 import json
-import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, LayoutError
 from .patches import extract_patch_features
-from .serial import open_artifact
+from .serial import check_shapes, open_artifact, save_artifact
 
 REQUIRED_ROIS = ("V1", "V2", "V3", "LOC", "FFA", "PPA")
 LVC_ROIS = ("V1", "V2", "V3")
@@ -204,12 +203,8 @@ def save_dataset(ds: Dataset, root) -> None:
     }
     with open(root / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    n = ds.layout.total_voxels
-    with open(root / "voxels.bin", "wb") as fh:
-        fh.write(VOXEL_MAGIC)
-        fh.write(struct.pack("<II", len(ds.records), n))
-        for r in ds.records:
-            fh.write(np.ascontiguousarray(r.voxels, dtype="<f4").tobytes())
+    save_artifact(root / "voxels.bin", VOXEL_MAGIC, {},
+                  (r.voxels for r in ds.records))
     for sid, img in ds.stimuli.items():
         write_pgm(root / "stimuli" / (sid + ".pgm"), img)
     for sid, mask in ds.masks.items():
@@ -218,39 +213,31 @@ def save_dataset(ds: Dataset, root) -> None:
 
 def load_dataset(root) -> Dataset:
     root = Path(root)
+    path = root / "manifest.json"
     try:
-        with open(root / "manifest.json") as fh:
+        with open(path) as fh:
             manifest = json.load(fh)
+        layout = RoiLayout(tuple((name, (lo, hi)) for name, lo, hi in manifest["rois"]))
+        meta = [(m["stimulus_id"], int(m["category_id"]), m["split"],
+                 int(m["trial_index"])) for m in manifest["records"]]
+        if not all(isinstance(sid, str) for sid, *_ in meta):
+            raise TypeError("stimulus_id must be a string")
+        categories = list(manifest["categories"])
     except OSError as exc:
         raise DataError("cannot read manifest: %s" % exc)
-    except ValueError as exc:
-        raise DataError("%s: %s" % (root / "manifest.json", exc)) from exc
-    layout = RoiLayout(tuple((name, (lo, hi)) for name, lo, hi in manifest["rois"]))
-    with open_artifact(root / "voxels.bin", VOXEL_MAGIC) as fh:
-        n_rec, n_vox = struct.unpack("<II", fh.read(8))
-        if n_vox != layout.total_voxels:
-            raise DataError("voxel count %d does not match layout %d"
-                            % (n_vox, layout.total_voxels))
-        if n_rec != len(manifest["records"]):
-            raise DataError("record count mismatch between manifest and voxels.bin")
-        rows = np.frombuffer(fh.read(4 * n_rec * n_vox), dtype="<f4")
-        if rows.size != n_rec * n_vox:
-            raise DataError("truncated voxel rows")
-        rows = rows.reshape(n_rec, n_vox)
-    records = [
-        TrialRecord(m["stimulus_id"], int(m["category_id"]), m["split"],
-                    int(m["trial_index"]), rows[i].astype(np.float32))
-        for i, m in enumerate(manifest["records"])
-    ]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError("%s: %s: %s" % (path, type(exc).__name__, exc)) from exc
+    with open_artifact(root / "voxels.bin", VOXEL_MAGIC) as (_, rows):
+        check_shapes(rows, [(layout.total_voxels,)] * len(meta))
+    records = [TrialRecord(*m, voxels) for m, voxels in zip(meta, rows)]
     stimuli, masks = {}, {}
-    for m in manifest["records"]:
-        sid = m["stimulus_id"]
+    for sid, *_ in meta:
         if sid not in stimuli:
             stimuli[sid] = read_pgm(root / "stimuli" / (sid + ".pgm"))
             mask_path = root / "masks" / (sid + ".pgm")
             if mask_path.exists():
                 masks[sid] = read_pgm(mask_path)
-    return Dataset(layout, records, stimuli, masks, list(manifest["categories"]))
+    return Dataset(layout, records, stimuli, masks, categories)
 
 
 # -- preprocessing ------------------------------------------------------

@@ -9,7 +9,7 @@ alternates one discriminator step and one generator step per batch.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError
 from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish
 from .optim import Adam
 from .patches import extract_patch_features, upsample_nearest
-from .serial import (open_artifact, read_array, read_header, write_array,
-                     write_header)
+from .serial import check_shapes, open_artifact, save_artifact
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"GAN1"
@@ -332,27 +331,19 @@ def generate(generator: GeneratorNet, shape_img: np.ndarray,
 
 def save_checkpoint(path, generator: GeneratorNet,
                     discriminator: DiscriminatorNet) -> None:
-    cfg = generator.config
-    doc = {
-        "resolution": cfg.resolution, "lambda_img": cfg.lambda_img,
-        "lr": cfg.lr, "beta1": cfg.beta1, "beta2": cfg.beta2,
-        "batch": cfg.batch, "epochs": cfg.epochs, "decay_start": cfg.decay_start,
-        "base_channels": cfg.base_channels, "semantic_dim": cfg.semantic_dim,
-        "disc_mode": cfg.disc_mode, "seed": cfg.seed,
-    }
-    with open(path, "wb") as fh:
-        write_header(fh, CHECKPOINT_MAGIC, doc)
-        for arr in generator.state_arrays() + discriminator.state_arrays():
-            write_array(fh, arr)
+    save_artifact(path, CHECKPOINT_MAGIC, asdict(generator.config),
+                  generator.state_arrays() + discriminator.state_arrays())
 
 
 def load_checkpoint(path):
-    with open_artifact(path, CHECKPOINT_MAGIC) as fh:
-        config = GanTrainConfig(**read_header(fh))
+    with open_artifact(path, CHECKPOINT_MAGIC) as (header, arrays):
+        config = GanTrainConfig(**header)
         generator = build_generator(config)
         discriminator = build_discriminator(config)
-        for arr in generator.state_arrays() + discriminator.state_arrays():
-            arr[...] = read_array(fh)
+        state = generator.state_arrays() + discriminator.state_arrays()
+        check_shapes(arrays, [arr.shape for arr in state])
+        for arr, saved in zip(state, arrays):
+            arr[...] = saved
     generator.set_training(False)
     discriminator.set_training(False)
     return generator, discriminator, config

@@ -8,7 +8,7 @@ the augmentation vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .dataset import Dataset, TrialRecord
 from .errors import ConfigError, DataError
 from .nn import Linear
 from .optim import Adam
-from .serial import (open_artifact, read_array, read_header, write_array,
-                     write_header)
+from .serial import check_shapes, open_artifact, save_artifact
 from .tensor import Tensor
 
 NET_MAGIC = b"SEM1"
@@ -155,29 +154,20 @@ def category_average(features, labels) -> dict:
 # -- persistence --------------------------------------------------------
 
 def save_semantic_net(net: SemanticNet, path) -> None:
-    doc = {
-        "in_dim": net.config.in_dim, "n_classes": net.config.n_classes,
-        "hidden1": net.config.hidden1, "hidden2": net.config.hidden2,
-        "epochs": net.config.epochs, "lr": net.config.lr,
-        "batch": net.config.batch, "seed": net.config.seed,
-        "roi_set": getattr(net, "roi_set", "HVC"),
-    }
-    with open(path, "wb") as fh:
-        write_header(fh, NET_MAGIC, doc)
-        write_array(fh, net.x_mean)
-        write_array(fh, net.x_std)
-        for p in net.parameters():
-            write_array(fh, p.data)
+    header = dict(asdict(net.config), roi_set=getattr(net, "roi_set", "HVC"))
+    save_artifact(path, NET_MAGIC, header, [net.x_mean, net.x_std]
+                  + [p.data for p in net.parameters()])
 
 
 def load_semantic_net(path) -> SemanticNet:
-    with open_artifact(path, NET_MAGIC) as fh:
-        meta = read_header(fh)
-        roi_set = meta.pop("roi_set")
-        net = SemanticNet(SemanticNetConfig(**meta))
-        net.roi_set = roi_set
-        net.x_mean = read_array(fh)
-        net.x_std = read_array(fh)
-        for p in net.parameters():
-            p.data = read_array(fh).reshape(p.shape)
+    with open_artifact(path, NET_MAGIC) as (header, arrays):
+        roi_set = header.pop("roi_set")
+        net = SemanticNet(SemanticNetConfig(**header))
+        params = net.parameters()
+        check_shapes(arrays, [net.x_mean.shape, net.x_std.shape]
+                     + [p.shape for p in params])
+        net.x_mean, net.x_std = arrays[:2]
+        for p, saved in zip(params, arrays[2:]):
+            p.data = saved
+    net.roi_set = roi_set
     return net

@@ -1,14 +1,18 @@
-"""Binary tensor serialization.
+"""The one artifact container, used by every model and dataset file.
 
-Format per tensor: magic ``TSR1``, u32 rank, u32 dims (little-endian),
-then float32 data little-endian row-major.  Model artifacts start with their
-own magic, optionally followed by a u32-length JSON header, then tensors.
+An artifact is a 4-byte magic naming its kind (``GAN1``, ``SEM1``, ``SHD1``,
+``VOX1``), a u32 header length, that many bytes of JSON header, then tensors
+up to the end of the file.  Each tensor is ``TSR1``, u32 rank, u32 dims, then
+float32 data, all little-endian and row-major.  Each tensor carries its own
+shape, so loaders check the shapes against what the header implies.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -27,52 +31,63 @@ def write_array(fh, arr: np.ndarray) -> None:
 
 
 def read_array(fh) -> np.ndarray:
+    """Read one tensor, refusing a declared size beyond the bytes left."""
+    start = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
     magic = fh.read(4)
     if magic != TENSOR_MAGIC:
-        raise DataError("bad tensor magic %r" % magic)
+        raise DataError("bad tensor magic %r at byte %d" % (magic, start))
     (rank,) = struct.unpack("<I", fh.read(4))
+    if 8 + 4 * rank > left:
+        raise DataError("tensor rank %d overruns the file" % rank)
     shape = struct.unpack("<%dI" % rank, fh.read(4 * rank))
-    n = int(np.prod(shape)) if rank else 1
-    buf = fh.read(4 * n)
-    if len(buf) != 4 * n:
-        raise DataError("truncated tensor payload")
-    return np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
+    size = 4 * math.prod(shape)
+    if 8 + 4 * rank + size > left:
+        raise DataError("tensor of shape %s overruns the file" % (shape,))
+    return np.frombuffer(fh.read(size), dtype="<f4").reshape(shape).astype(np.float32)
 
 
-def save_array(path, arr: np.ndarray) -> None:
+def save_artifact(path, magic: bytes, header: dict, arrays) -> None:
+    blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
-        write_array(fh, arr)
-
-
-def load_array(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_array(fh)
-
-
-def write_header(fh, magic: bytes, doc: dict) -> None:
-    blob = json.dumps(doc).encode()
-    fh.write(magic)
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-
-
-def read_header(fh) -> dict:
-    """The u32-length JSON header that follows an artifact's magic."""
-    (ln,) = struct.unpack("<I", fh.read(4))
-    return json.loads(fh.read(ln).decode())
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for arr in arrays:
+            write_array(fh, arr)
 
 
 @contextlib.contextmanager
 def open_artifact(path, magic: bytes):
-    """Open a model artifact for reading, checking its magic and, once the
-    body has been read, that nothing follows it.  Malformed content of any
-    kind surfaces as a DataError that names the file."""
+    """Read a whole artifact and yield its ``(header, arrays)``.  Damage in
+    the file, or any error the caller's block raises while interpreting it,
+    surfaces as a DataError that names the file."""
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(magic)) != magic:
-                raise DataError("bad magic, expected %r" % magic)
-            yield fh
-            if fh.read(1):
-                raise DataError("trailing bytes after the last tensor")
-    except (ShapesemError, struct.error, ValueError, TypeError, KeyError) as exc:
+            blob = fh.read()
+        if blob[:4] != magic:
+            raise DataError("bad magic %r, expected %r" % (blob[:4], magic))
+        (size,) = struct.unpack_from("<I", blob, 4)
+        if 8 + size > len(blob):
+            raise DataError("header of %d bytes overruns the file" % size)
+        header = json.loads(blob[8 : 8 + size].decode())
+        if not isinstance(header, dict):
+            raise DataError("header is not a JSON object")
+        body = io.BytesIO(blob)
+        body.seek(8 + size)
+        arrays = []
+        while body.tell() < len(blob):
+            arrays.append(read_array(body))
+        yield header, arrays
+    except (ShapesemError, struct.error, ValueError, TypeError, LookupError) as exc:
         raise DataError("%s: %s" % (path, exc)) from exc
+
+
+def check_shapes(arrays, shapes) -> None:
+    """DataError unless there is one array per expected shape, each equal."""
+    if len(arrays) != len(shapes):
+        raise DataError("%d tensors, expected %d" % (len(arrays), len(shapes)))
+    for i, (arr, shape) in enumerate(zip(arrays, shapes)):
+        if arr.shape != shape:
+            raise DataError("tensor %d has shape %s, expected %s" % (i, arr.shape, shape))

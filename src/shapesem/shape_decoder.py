@@ -7,7 +7,6 @@ block-replicated back to stimulus resolution.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .dataset import Dataset, TrialRecord
 from .errors import DataError
 from .linalg import ridge_solve
 from .patches import extract_patch_features, upsample_nearest
-from .serial import open_artifact, read_array, write_array
+from .serial import check_shapes, open_artifact, save_artifact
 
 DECODER_MAGIC = b"SHD1"
 DEFAULT_LAMBDA = 1e-2  # scaled by trace(X'X)/d at fit time
@@ -160,34 +159,20 @@ def decode_shape(decoder: ShapeDecoder, record: TrialRecord, layout) -> np.ndarr
 # -- persistence --------------------------------------------------------
 
 def save_shape_decoder(decoder: ShapeDecoder, path) -> None:
-    rois = list(decoder.decoders)
-    with open(path, "wb") as fh:
-        fh.write(DECODER_MAGIC)
-        fh.write(struct.pack("<II", len(rois), decoder.patch_size))
-        for roi in rois:
-            name = roi.encode()
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-        for roi in rois:
-            dec = decoder.decoders[roi]
-            fh.write(struct.pack("<Id", dec.grid, dec.lam))
-            write_array(fh, dec.weights)
-            write_array(fh, dec.bias)
-        write_array(fh, decoder.combiner.weights)
+    decs, cw = decoder.decoders, decoder.combiner.weights
+    header = {"patch_size": decoder.patch_size, "grid": cw.shape[0],
+              "rois": [[roi, d.weights.shape[0], d.lam] for roi, d in decs.items()]}
+    arrays = [a for d in decs.values() for a in (d.weights, d.bias)]
+    save_artifact(path, DECODER_MAGIC, header, arrays + [cw])
 
 
 def load_shape_decoder(path) -> ShapeDecoder:
-    with open_artifact(path, DECODER_MAGIC) as fh:
-        n_roi, m = struct.unpack("<II", fh.read(8))
-        rois = []
-        for _ in range(n_roi):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            rois.append(fh.read(ln).decode())
-        decoders = {}
-        for roi in rois:
-            grid, lam = struct.unpack("<Id", fh.read(12))
-            w = read_array(fh).astype(np.float64)
-            b = read_array(fh).astype(np.float64)
-            decoders[roi] = BaseShapeDecoder(roi, w, b, grid, lam)
-        cw = read_array(fh).astype(np.float64)
-    return ShapeDecoder(decoders, ShapeCombiner(rois, cw), m)
+    with open_artifact(path, DECODER_MAGIC) as (header, arrays):
+        g, rois = header["grid"], header["rois"]
+        check_shapes(arrays, [s for _, n, _ in rois for s in ((n, g * g), (g * g,))]
+                     + [(g, g, len(rois))])
+        w = [a.astype(np.float64) for a in arrays]
+        return ShapeDecoder({roi: BaseShapeDecoder(roi, w[2 * i], w[2 * i + 1], g, lam)
+                             for i, (roi, _, lam) in enumerate(rois)},
+                            ShapeCombiner([roi for roi, _, _ in rois], w[-1]),
+                            header["patch_size"])

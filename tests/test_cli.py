@@ -1,10 +1,15 @@
 import csv
+import json
 import os
 import shutil
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapesem.cli import main, parse_config_file, resolve_config
+from shapesem.errors import DataError
 
 
 def run_cli(*argv):
@@ -245,10 +250,12 @@ def tiny_model(tmp_path_factory):
     return ds, art
 
 
-def _inside_header(blob, name):
-    if name == "shape_decoder.shd":
-        return blob[:14]  # inside the first ROI name's length field
-    return blob[:8 + int.from_bytes(blob[4:8], "little") // 2]  # in the JSON
+def _header_len(blob):
+    return int.from_bytes(blob[4:8], "little")
+
+
+def _inside_header(blob):
+    return blob[:8 + _header_len(blob) // 2]  # in the JSON
 
 
 @pytest.mark.parametrize("damage", ["header", "payload", "trailing"])
@@ -260,12 +267,95 @@ def test_damaged_artifact_names_file(tiny_model, tmp_path, capsys, name, damage)
     out = tmp_path / "art"
     shutil.copytree(art, out)
     blob = (out / name).read_bytes()
-    (out / name).write_bytes({"header": _inside_header(blob, name),
+    (out / name).write_bytes({"header": _inside_header(blob),
                               "payload": blob[:-1],
                               "trailing": blob + bytes(64)}[damage])
     assert run_cli("evaluate", "--dataset", ds, "--out", str(out),
                    "--metric", "recon", "--seed", "0") == 1
     assert name in capsys.readouterr().err
+
+
+def _evaluate_recon(ds, art):
+    return run_cli("evaluate", "--dataset", ds, "--out", str(art),
+                   "--metric", "recon", "--seed", "0")
+
+
+@pytest.mark.parametrize("damage", ["shapes", "count"])
+@pytest.mark.parametrize("name", ["gan.ckpt", "semantic_net.sem",
+                                  "shape_decoder.shd"])
+def test_wrong_tensors_name_file(tiny_model, tmp_path, capsys, name, damage):
+    """An artifact with its header intact but each tensor of shape (1,), or
+    its last tensor missing, exits 1 naming the file and what is wrong,
+    instead of broadcasting into the model."""
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    magic = (out / name).read_bytes()[:4]
+    with open_artifact(out / name, magic) as (header, arrays):
+        pass
+    n = len(arrays)
+    if damage == "shapes":
+        tensors, message = [np.zeros(1)] * n, "tensor 0 has shape (1,)"
+    else:
+        tensors, message = arrays[:-1], "%d tensors, expected %d" % (n - 1, n)
+    save_artifact(out / name, magic, header, tensors)
+    assert _evaluate_recon(ds, out) == 1
+    err = capsys.readouterr().err
+    assert name in err and message in err
+
+
+def test_oversized_tensor_payload_names_file(tiny_model, tmp_path, capsys):
+    """A first tensor dimension of 0xFFFFFFF0 is refused against the bytes
+    left in the file before anything is allocated."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    blob = bytearray((out / "gan.ckpt").read_bytes())
+    first_dim = 8 + _header_len(blob) + 8  # after TSR1 and the rank
+    blob[first_dim : first_dim + 4] = (0xFFFFFFF0).to_bytes(4, "little")
+    (out / "gan.ckpt").write_bytes(bytes(blob))
+    assert _evaluate_recon(ds, out) == 1
+    assert "gan.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["gan.ckpt", "semantic_net.sem",
+                                  "shape_decoder.shd", "voxels.bin"])
+def test_container_fuzz(tiny_model, tmp_path_factory, name):
+    """Truncated, overlong and overwritten artifacts either load with the
+    original tensor shapes or raise a DataError naming the file."""
+    from shapesem.serial import check_shapes, open_artifact
+
+    ds, art = tiny_model
+    src = os.path.join(ds if name == "voxels.bin" else art, name)
+    good = open(src, "rb").read()
+    magic, path = good[:4], tmp_path_factory.mktemp("fuzz") / name
+    with open_artifact(src, magic) as (_, arrays):
+        shapes = [a.shape for a in arrays]
+    # the header and first tensors, or anywhere in the file
+    pos = st.integers(0, min(len(good), 256) - 1) | st.integers(0, len(good) - 1)
+
+    def overwrite(edits):
+        blob = bytearray(good)
+        for i, byte in edits:
+            blob[i] = byte
+        return bytes(blob)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, len(good) - 1).map(lambda n: good[:n])
+           | st.binary(min_size=1, max_size=64).map(lambda junk: good + junk)
+           | st.lists(st.tuples(pos, st.integers(0, 255)), min_size=1,
+                      max_size=8).map(overwrite))
+    def loads_or_names_file(blob):
+        path.write_bytes(blob)
+        try:
+            with open_artifact(path, magic) as (_, arrays):
+                check_shapes(arrays, shapes)
+        except DataError as exc:
+            assert name in str(exc)
+
+    loads_or_names_file()
 
 
 @pytest.mark.parametrize("cmd, key", [("train-gan", "gan_batch"),
@@ -279,18 +369,26 @@ def test_zero_batch_rejected(tiny_model, tmp_path, capsys, cmd, key):
     assert "batch must be >= 1" in capsys.readouterr().err
 
 
+def _without_rois(blob):
+    doc = json.loads(blob)
+    del doc["rois"]
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("name, damage", [("manifest.json", "truncated"),
+                                          ("manifest.json", "no_rois"),
                                           ("voxels.bin", "truncated"),
                                           ("voxels.bin", "trailing")])
 def test_damaged_dataset_names_file(tiny_model, tmp_path, capsys, name, damage):
-    """A dataset file cut short or followed by junk exits 1 with the file
-    named, instead of a traceback or a silent load."""
+    """A dataset file cut short, followed by junk or missing a manifest key
+    exits 1 with the file named, instead of a traceback or a silent load."""
     ds, _ = tiny_model
     bad = tmp_path / "ds"
     shutil.copytree(ds, bad)
     blob = (bad / name).read_bytes()
-    (bad / name).write_bytes({"truncated": blob[: len(blob) // 2],
-                              "trailing": blob + bytes(64)}[damage])
+    (bad / name).write_bytes({"truncated": lambda: blob[: len(blob) // 2],
+                              "trailing": lambda: blob + bytes(64),
+                              "no_rois": lambda: _without_rois(blob)}[damage]())
     assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
                    "--out", str(tmp_path / "art")) == 1
     assert name in capsys.readouterr().err

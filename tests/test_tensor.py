@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 
 from shapesem import tensor as T
 from shapesem.errors import DimensionError, GraphError, NumericalError
 from shapesem.optim import AdamState, adam_update
-from shapesem.serial import load_array, save_array
+from shapesem.serial import read_array, write_array
 from shapesem.tensor import Tensor
 
 
@@ -220,25 +222,26 @@ def test_adam_rejects_nonfinite_grad():
     assert st.t == 0
 
 
-def test_tensor_serialization_roundtrip(tmp_path):
+def test_tensor_serialization_roundtrip():
     rng = np.random.default_rng(3)
     arr = rng.standard_normal((2, 3, 4)).astype(np.float32)
-    path = tmp_path / "t.tsr"
-    save_array(path, arr)
-    back = load_array(path)
+    fh = io.BytesIO()
+    write_array(fh, arr)
+    fh.seek(0)
+    back = read_array(fh)
     assert back.shape == arr.shape
     assert np.array_equal(back, arr)
-    raw = path.read_bytes()
+    raw = fh.getvalue()
     assert raw[:4] == b"TSR1"
 
 
-def test_serialization_header_layout(tmp_path):
+def test_serialization_header_layout():
     import struct
 
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-    path = tmp_path / "t.tsr"
-    save_array(path, arr)
-    raw = path.read_bytes()
+    fh = io.BytesIO()
+    write_array(fh, arr)
+    raw = fh.getvalue()
     rank = struct.unpack("<I", raw[4:8])[0]
     dims = struct.unpack("<2I", raw[8:16])
     assert rank == 2 and dims == (2, 3)
