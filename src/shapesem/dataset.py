@@ -121,7 +121,7 @@ class Dataset:
             seen.add(key)
             if r.stimulus_id not in self.stimuli:
                 raise DataError("record %s has no stimulus image" % r.stimulus_id)
-            if r.category_id >= len(self.category_names):
+            if not 0 <= r.category_id < len(self.category_names):
                 raise DataError("category id %d out of range" % r.category_id)
             (train_ids if r.split == "train" else test_ids).add(r.stimulus_id)
         if train_ids & test_ids:
@@ -166,7 +166,9 @@ def read_pgm(path) -> np.ndarray:
         if pos >= len(raw):
             raise DataError("truncated PGM header in %s" % path)
         if raw[pos : pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            pos = raw.find(b"\n", pos) + 1
+            if pos == 0:
+                raise DataError("truncated PGM header in %s" % path)
             continue
         end = pos
         while end < len(raw) and not raw[end : end + 1].isspace():
@@ -176,7 +178,12 @@ def read_pgm(path) -> np.ndarray:
         pos = end + 1
     if fields[0] != b"P5":
         raise DataError("%s is not a binary PGM" % path)
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        w, h, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise DataError("non-numeric PGM header field in %s" % path) from None
+    if w < 1 or h < 1:
+        raise DataError("PGM size %dx%d in %s" % (w, h, path))
     if not 1 <= maxval <= 255:
         raise DataError("PGM maxval %d outside 1..255 in %s" % (maxval, path))
     px = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8)
@@ -237,7 +244,10 @@ def load_dataset(root) -> Dataset:
             mask_path = root / "masks" / (sid + ".pgm")
             if mask_path.exists():
                 masks[sid] = read_pgm(mask_path)
-    return Dataset(layout, records, stimuli, masks, categories)
+    try:
+        return Dataset(layout, records, stimuli, masks, categories)
+    except DataError as exc:
+        raise DataError("%s: %s" % (path, exc)) from None
 
 
 # -- preprocessing ------------------------------------------------------

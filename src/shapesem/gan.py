@@ -220,7 +220,8 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
 
     ``pairs``: list of (shape S x S, semantics vector or None, target S x S).
     The non-trained net is frozen during each step: the discriminator sees
-    detached fakes, and generator steps never touch discriminator state.
+    detached fakes, and during the generator step the discriminator's
+    parameters do not require grad, so no gradient is computed for them.
     """
     if not pairs:
         raise DataError("no training pairs")
@@ -239,6 +240,8 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
 
     opt_g = Adam(generator.parameters(), config.lr, config.beta1, config.beta2)
     opt_d = Adam(discriminator.parameters(), config.lr, config.beta1, config.beta2)
+    d_params = opt_d.params
+    g_norms = [l for l in generator.layers if isinstance(l, BatchNorm2d)]
     rng = np.random.default_rng(config.seed + 2)
     generator.set_training(True)
     discriminator.set_training(True)
@@ -256,23 +259,36 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
             y = Tensor(targets[sel])
             sem = Tensor(sems[sel]) if sems is not None else None
 
+            # One generator forward serves both steps, but each batch-norm
+            # layer still takes two momentum updates from the same batch
+            # moments: that is the schedule of a forward per step, which the
+            # running statistics in every checkpoint were made with, so
+            # repeating it keeps them byte-identical.
+            fake = generator.forward(x_sp, sem)
+            for bn in g_norms:
+                bn.repeat_running_update()
+
             # discriminator step (generator frozen via detach)
-            fake = generator.forward(x_sp, sem).detach()
             d_loss = discriminator_loss(discriminator.forward(x_sp, y),
-                                        discriminator.forward(x_sp, fake))
+                                        discriminator.forward(x_sp, fake.detach()))
             opt_d.zero_grad()
             d_loss.backward()
             opt_d.step()
+            opt_d.zero_grad()
 
-            # generator step (discriminator grads discarded, never applied)
-            fake = generator.forward(x_sp, sem)
-            scores = discriminator.forward(x_sp, fake)
-            g_total, g_adv, g_l1 = generator_loss(scores, fake, y, config.lambda_img)
-            opt_g.zero_grad()
-            opt_d.zero_grad()
-            g_total.backward()
+            # generator step (discriminator frozen: no weight grads computed)
+            for p in d_params:
+                p.requires_grad = False
+            try:
+                scores = discriminator.forward(x_sp, fake)
+                g_total, g_adv, g_l1 = generator_loss(scores, fake, y,
+                                                      config.lambda_img)
+                opt_g.zero_grad()
+                g_total.backward()
+            finally:
+                for p in d_params:
+                    p.requires_grad = True
             opt_g.step()
-            opt_d.zero_grad()
 
             vals = (d_loss.item(), g_adv.item(), g_l1.item(), g_total.item())
             if not all(np.isfinite(vals)):

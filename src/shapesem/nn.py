@@ -81,6 +81,7 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(ch, dtype=np.float32)
         self.momentum, self.eps = momentum, eps
         self.training = True
+        self.batch_moments = []  # (mean, var) of the last training batch
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -89,8 +90,15 @@ class BatchNorm2d(Layer):
         return [self.gamma.data, self.beta.data, self.running_mean, self.running_var]
 
     def __call__(self, x):
+        self.batch_moments = []
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, self.training, self.momentum, self.eps)
+                            self.running_var, self.training, self.momentum,
+                            self.eps, self.batch_moments)
+
+    def repeat_running_update(self):
+        """Step the running statistics once more toward the last batch's."""
+        T.update_running_stats(self.running_mean, self.running_var,
+                               *self.batch_moments, self.momentum)
 
 
 class Sequentialish:

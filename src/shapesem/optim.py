@@ -27,19 +27,39 @@ class AdamState:
 def adam_update(param: Tensor, grad: np.ndarray, state: AdamState,
                 lr: float = 2e-4, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> None:
-    """One in-place Adam step on ``param.data``; increments ``state.t``."""
+    """One in-place Adam step on ``param.data``; increments ``state.t``.
+
+    ``state.m`` and ``state.v`` are updated in place and the step is built in
+    two float32 buffers the size of the parameter, so the update makes no
+    other temporaries.  With Python-float hyperparameters the float32
+    operations and their order are those of the textbook form
+    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``, so the results are bitwise
+    the same.
+    """
     grad = np.asarray(grad, dtype=np.float32)
     if grad.shape != param.data.shape:
         raise DimensionError("grad shape %s != param shape %s"
                              % (grad.shape, param.data.shape))
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient; update refused")
+    a = np.empty(grad.shape, np.float32)
+    b = np.empty(grad.shape, np.float32)
+    m, v = state.m, state.v
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(np.float32)
+    np.multiply(m, beta1, out=m)  # m = beta1 * m + (1 - beta1) * g
+    np.multiply(grad, 1.0 - beta1, out=a)
+    m += a
+    np.multiply(v, beta2, out=v)  # v = beta2 * v + (1 - beta2) * g * g
+    np.multiply(grad, 1.0 - beta2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, 1.0 - beta1 ** state.t, out=a)  # m_hat
+    np.divide(v, 1.0 - beta2 ** state.t, out=b)  # v_hat
+    a *= lr
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    param.data -= a
 
 
 class Adam:

@@ -182,8 +182,10 @@ def matmul(a, b) -> Tensor:
         raise DimensionError("matmul expects 2-d operands")
 
     def bwd(g):
-        a.accum_grad(g @ b.data.T)
-        b.accum_grad(a.data.T @ g)
+        if a.requires_grad:
+            a.accum_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accum_grad(a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), bwd)
 
@@ -336,11 +338,13 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
 
     def bwd(g):
         g4 = g[None] if squeeze else g
-        gk = np.einsum("nohw,nchwij->ocij", g4, cols, optimize=True)
-        kernels.accum_grad(gk.astype(np.float32))
-        gcols = np.einsum("nohw,ocij->nchwij", g4, kernels.data, optimize=True)
-        gx = _col2im(gcols.astype(np.float32), xd.shape, stride, pad)
-        x.accum_grad(gx[0] if squeeze else gx)
+        if kernels.requires_grad:
+            gk = np.einsum("nohw,nchwij->ocij", g4, cols, optimize=True)
+            kernels.accum_grad(gk.astype(np.float32, copy=False))
+        if x.requires_grad:
+            gcols = np.einsum("nohw,ocij->nchwij", g4, kernels.data, optimize=True)
+            gx = _col2im(gcols.astype(np.float32, copy=False), xd.shape, stride, pad)
+            x.accum_grad(gx[0] if squeeze else gx)
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)
 
@@ -362,27 +366,41 @@ def conv2d_transpose(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise DimensionError("non-positive transposed-conv output size")
     gcols = np.einsum("nohw,ocij->nchwij", xd, kernels.data, optimize=True)
-    out = _col2im(gcols.astype(np.float32), (n, cout, ho, wo), stride, pad)
+    out = _col2im(gcols.astype(np.float32, copy=False), (n, cout, ho, wo),
+                  stride, pad)
 
     def bwd(g):
         g4 = g[None] if squeeze else g
         cols = _im2col(g4, kh, kw, stride, pad)
-        gx = np.einsum("nchwij,ocij->nohw", cols, kernels.data, optimize=True)
-        gk = np.einsum("nohw,nchwij->ocij", xd, cols, optimize=True)
-        kernels.accum_grad(gk.astype(np.float32))
-        x.accum_grad(gx[0].astype(np.float32) if squeeze else gx.astype(np.float32))
+        if x.requires_grad:
+            gx = np.einsum("nchwij,ocij->nohw", cols, kernels.data,
+                           optimize=True).astype(np.float32, copy=False)
+            x.accum_grad(gx[0] if squeeze else gx)
+        if kernels.requires_grad:
+            gk = np.einsum("nohw,nchwij->ocij", xd, cols, optimize=True)
+            kernels.accum_grad(gk.astype(np.float32, copy=False))
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)
 
 
 # -- batch normalization ------------------------------------------------
 
+def update_running_stats(running_mean, running_var, mu, var, momentum: float):
+    """One in-place momentum step of the running statistics toward (mu, var)."""
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               momentum: float = 0.1, eps: float = 1e-5,
+               moments: list | None = None) -> Tensor:
     """Per-channel normalization over (N, H, W) for 4-d input or (N,) for 2-d.
 
     ``running_mean``/``running_var`` are plain numpy arrays updated in place
-    during training and used verbatim in eval mode.
+    during training and used verbatim in eval mode.  In training mode the
+    batch mean and variance are appended to ``moments`` if it is a list.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     nd = x.data.ndim
@@ -393,10 +411,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     if training:
         mu = x.data.mean(axis=axes, dtype=np.float64)
         var = x.data.var(axis=axes, dtype=np.float64)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        update_running_stats(running_mean, running_var, mu, var, momentum)
+        if moments is not None:
+            moments += (mu, var)
     else:
         mu, var = running_mean, running_var
     std = np.sqrt(var + eps).astype(np.float32)
@@ -415,6 +432,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
             )
         else:
             gx = g * gb / std.reshape(shape)
-        x.accum_grad(gx.astype(np.float32))
+        x.accum_grad(gx.astype(np.float32, copy=False))
 
     return _make(out, (x, gamma, beta), bwd)

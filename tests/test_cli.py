@@ -394,6 +394,34 @@ def test_damaged_dataset_names_file(tiny_model, tmp_path, capsys, name, damage):
     assert name in capsys.readouterr().err
 
 
+def test_malformed_pgm_header_names_file(tiny_model, tmp_path, capsys):
+    """A stimulus whose PGM header has a non-numeric size exits 1 with the
+    image named."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    victim = sorted((bad / "stimuli").iterdir())[0]
+    victim.write_bytes(b"P5\nab 16\n255\n" + bytes(256))
+    assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
+                   "--out", str(tmp_path / "art")) == 1
+    assert victim.name in capsys.readouterr().err
+
+
+def test_negative_category_id_names_manifest(tiny_model, tmp_path, capsys):
+    """A record with category_id -1 exits 1 with manifest.json named instead
+    of training it as the last category."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    doc = json.loads((bad / "manifest.json").read_text())
+    doc["records"][0]["category_id"] = -1
+    (bad / "manifest.json").write_text(json.dumps(doc))
+    assert run_cli("train-semantic", "--seed", "0", "--dataset", str(bad),
+                   "--out", str(tmp_path / "art"), *TINY_MODELS) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "category id -1" in err
+
+
 def test_training_artifacts_byte_identical(tiny_model, tmp_path):
     """Repeating the seeded train-semantic and train-gan runs rewrites their
     artifacts byte for byte."""

@@ -140,6 +140,15 @@ class TestPgm:
         with pytest.raises(DataError, match="m.pgm"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\nab 16\n255\n",
+                                        b"P5\n# no newline",
+                                        b"P5\n-2 -2\n255\n" + bytes(4)])
+    def test_malformed_header_names_file(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header)
+        with pytest.raises(DataError, match="h.pgm"):
+            read_pgm(path)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_match_whole_image_quantisation(self, tmp_path, dtype):
         """Row-block quantisation writes the bytes of clip, scale by 255 and

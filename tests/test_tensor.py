@@ -222,6 +222,120 @@ def test_adam_rejects_nonfinite_grad():
     assert st.t == 0
 
 
+def test_adam_nonfinite_grad_leaves_moments_untouched():
+    p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    st = AdamState.for_shape(p.shape)
+    adam_update(p, np.array([0.5, -1.0]), st, lr=0.1)
+    before = (p.data.copy(), st.m.copy(), st.v.copy(), st.t)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError):
+            adam_update(p, np.array([0.5, bad]), st, lr=0.1)
+        assert np.array_equal(p.data, before[0])
+        assert np.array_equal(st.m, before[1])
+        assert np.array_equal(st.v, before[2])
+        assert st.t == before[3]
+
+
+def _allocating_adam_update(param, grad, state, lr, beta1=0.9, beta2=0.999,
+                            eps=1e-8):
+    """The textbook form with fresh temporaries, as a bitwise reference."""
+    grad = np.asarray(grad, dtype=np.float32)
+    state.t += 1
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1 ** state.t)
+    v_hat = state.v / (1.0 - beta2 ** state.t)
+    param.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(np.float32)
+
+
+def test_adam_step_matches_textbook_update():
+    """One Adam over parameters of different sizes gives the bytes of a
+    per-call adam_update and of the textbook form with fresh temporaries,
+    over five steps with a changing learning rate."""
+    from shapesem.optim import Adam
+
+    rng = np.random.default_rng(11)
+    shapes = [(7, 3, 4, 4), (5,), (40, 9), (1,)]
+    init = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    grads = [[rng.standard_normal(s).astype(np.float32) * 10.0 ** rng.integers(-6, 3)
+              for s in shapes] for _ in range(5)]
+    shared = [Tensor(a.copy(), requires_grad=True) for a in init]
+    opt = Adam(shared, lr=1e-3)
+    alone = [Tensor(a.copy(), requires_grad=True) for a in init]
+    alone_states = [AdamState.for_shape(a.shape) for a in init]
+    textbook = [Tensor(a.copy(), requires_grad=True) for a in init]
+    textbook_states = [AdamState.for_shape(a.shape) for a in init]
+    for step, gs in enumerate(grads):
+        lr = 1e-3 * (5 - step) / 5
+        opt.lr = lr
+        for p, g in zip(shared, gs):
+            p.grad = g
+        opt.step()
+        for p, st, g in zip(alone, alone_states, gs):
+            adam_update(p, g, st, lr=lr)
+        for p, st, g in zip(textbook, textbook_states, gs):
+            _allocating_adam_update(p, g, st, lr)
+    for i in range(len(init)):
+        for other, states in ((alone, alone_states), (textbook, textbook_states)):
+            assert np.array_equal(shared[i].data, other[i].data)
+            assert np.array_equal(opt.states[i].m, states[i].m)
+            assert np.array_equal(opt.states[i].v, states[i].v)
+            assert opt.states[i].t == states[i].t == 5
+
+
+def _frozen_operand_case(op, shapes, frozen, monkeypatch):
+    """Grads of op(a, b) with both operands trainable, and with ``frozen``
+    (0 or 1) marked as not requiring grad; also whether the backward handed
+    the frozen operand a gradient at all."""
+    rng = np.random.default_rng(5)
+    data = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    weights = None
+    grads = []
+    handed = []
+    accum = Tensor.accum_grad
+
+    def spy(self, g):
+        handed.append(self)
+        accum(self, g)
+
+    monkeypatch.setattr(Tensor, "accum_grad", spy)
+    for freeze in (None, frozen):
+        ops = [Tensor(d, requires_grad=i != freeze) for i, d in enumerate(data)]
+        out = op(*ops)
+        if weights is None:
+            weights = rng.standard_normal(out.shape).astype(np.float32)
+        handed.clear()
+        T.tsum(out * Tensor(weights)).backward()
+        grads.append([t.grad for t in ops])
+    return grads, any(t is ops[frozen] for t in handed)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    pytest.param(lambda x, k: T.conv2d(x, k, 2, 1), [(2, 3, 8, 8), (4, 3, 4, 4)],
+                 id="conv2d"),
+    pytest.param(lambda x, k: T.conv2d(x, k, 1, 0), [(3, 5, 5), (2, 3, 3, 3)],
+                 id="conv2d_unbatched"),
+    pytest.param(lambda x, k: T.conv2d_transpose(x, k, 2, 1),
+                 [(2, 4, 4, 4), (4, 3, 4, 4)], id="conv2d_transpose"),
+    pytest.param(lambda x, k: T.conv2d_transpose(x, k, 2, 1),
+                 [(4, 2, 2), (4, 3, 4, 4)], id="conv2d_transpose_unbatched"),
+    pytest.param(T.matmul, [(6, 5), (5, 3)], id="matmul"),
+])
+@pytest.mark.parametrize("frozen", [0, 1], ids=["input_frozen", "weight_frozen"])
+def test_frozen_operand_gets_no_grad(op, shapes, frozen, monkeypatch):
+    """With one operand not requiring grad, the other operand's grad is the
+    bitwise full-graph one, and the frozen operand's grad is neither
+    computed nor stored."""
+    (full, partial), computed = _frozen_operand_case(op, shapes, frozen,
+                                                     monkeypatch)
+    live = 1 - frozen
+    assert not computed
+    assert partial[frozen] is None
+    assert full[frozen] is not None
+    assert partial[live].dtype == np.float32
+    assert np.array_equal(partial[live], full[live])
+
+
 def test_tensor_serialization_roundtrip():
     rng = np.random.default_rng(3)
     arr = rng.standard_normal((2, 3, 4)).astype(np.float32)
