@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import typing
 
 from .dataset import (Dataset, SyntheticConfig, average_test_trials,
                       load_dataset, save_dataset, simulate, write_pgm)
@@ -28,8 +30,8 @@ from .gan import (GanTrainConfig, build_discriminator, build_generator,
                   load_checkpoint, save_checkpoint, train, write_loss_log)
 from .semantic import (SemanticNetConfig, accuracy, load_semantic_net,
                        save_semantic_net, train_semantic)
-from .shape_decoder import (fit_shape_decoder, load_shape_decoder,
-                            save_shape_decoder)
+from .shape_decoder import (DEFAULT_LAMBDA, fit_shape_decoder,
+                            load_shape_decoder, save_shape_decoder)
 
 
 class CliError(ShapesemError):
@@ -42,7 +44,41 @@ def _parse_bool(s):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise CliError("not a boolean: %r" % s)
+    raise ValueError("not a boolean")
+
+
+def _one_of(*options):
+    def parse(s):
+        if s not in options:
+            raise ValueError("expected one of %s" % ", ".join(options))
+        return s
+    return parse
+
+
+# config class -> (key prefix, the fields the CLI exposes); each such key
+# takes its default and its type from the field.  A field not listed keeps
+# its default or is set by the command from the dataset, the seed or the
+# trained upstream artifacts.
+CONFIG_KEYS = {
+    SyntheticConfig: ("", ("image_size", "patch_size", "categories", "n_train",
+                           "n_test", "train_trials", "test_trials",
+                           "noise_sigma", "identical_shapes")),
+    SemanticNetConfig: ("sem_", ("hidden1", "hidden2", "epochs", "lr", "batch")),
+    GanTrainConfig: ("gan_", ("epochs", "decay_start", "batch", "lr",
+                              "lambda_img", "base_channels")),
+}
+_CONVERTERS = {int: int, float: float, bool: _parse_bool}
+
+
+def _field_keys():
+    """key -> (converter, default) of every field that CONFIG_KEYS exposes,
+    both read from the field."""
+    keys = {}
+    for cls, (prefix, names) in CONFIG_KEYS.items():
+        hints = typing.get_type_hints(cls)
+        keys.update((prefix + f.name, (_CONVERTERS[hints[f.name]], f.default))
+                    for f in dataclasses.fields(cls) if f.name in names)
+    return keys
 
 
 # key -> (converter, default); one namespace shared by every subcommand
@@ -51,35 +87,10 @@ KNOWN_KEYS = {
     "out": (str, None),
     "seed": (int, 0),
     "runs": (int, 5),
-    "mode": (str, "full"),
-    "metric": (str, "recon"),
-    # simulator
-    "image_size": (int, 32),
-    "patch_size": (int, 8),
-    "categories": (int, 10),
-    "n_train": (int, 300),
-    "n_test": (int, 40),
-    "train_trials": (int, 1),
-    "test_trials": (int, 3),
-    "noise_sigma": (float, 0.1),
-    "identical_shapes": (_parse_bool, False),
-    # shape decoder
-    "shape_lambda": (float, 1e-2),
-    # semantic decoder
-    "sem_hidden1": (int, 256),
-    "sem_hidden2": (int, 64),
-    "sem_epochs": (int, 60),
-    "sem_lr": (float, 1e-3),
-    "sem_batch": (int, 32),
-    # GAN
-    "gan_epochs": (int, 200),
-    "gan_decay_start": (int, 120),
-    "gan_batch": (int, 10),
-    "gan_lr": (float, 2e-4),
-    "gan_lambda_img": (float, 100.0),
-    "gan_base_channels": (int, 16),
-    "gan_semantic_dim": (int, 64),
-    "gan_disc_mode": (str, "patch"),
+    "mode": (_one_of("full", "no_semantics", "no_augmentation"), "full"),
+    "metric": (_one_of("recon", "shape"), "recon"),
+    "shape_lambda": (float, DEFAULT_LAMBDA),
+    **_field_keys(),
 }
 
 
@@ -122,8 +133,8 @@ def resolve_config(args):
         conv = KNOWN_KEYS[key][0]
         try:
             cfg[key] = conv(val)
-        except (ValueError, TypeError):
-            raise CliError("bad value for %s: %r" % (key, val))
+        except (ValueError, TypeError) as exc:
+            raise CliError("bad value for %s: %r (%s)" % (key, val, exc)) from None
     for key in ("dataset", "out", "seed", "runs", "mode", "metric"):
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
@@ -186,37 +197,15 @@ def write_manifest(out_dir, subcommand, cfg, written):
     return path
 
 
-def _sim_config(cfg) -> SyntheticConfig:
-    return SyntheticConfig(image_size=cfg["image_size"],
-                           patch_size=cfg["patch_size"],
-                           categories=cfg["categories"],
-                           n_train=cfg["n_train"], n_test=cfg["n_test"],
-                           train_trials=cfg["train_trials"],
-                           test_trials=cfg["test_trials"],
-                           noise_sigma=cfg["noise_sigma"],
-                           identical_shapes=cfg["identical_shapes"],
-                           seed=cfg["seed"])
+def _config(cfg, cls, **derived):
+    """``cls`` from its keys in ``cfg``, the seed and the derived fields."""
+    prefix, names = CONFIG_KEYS[cls]
+    return cls(**{n: cfg[prefix + n] for n in names}, seed=cfg["seed"], **derived)
 
 
 def _sem_config(cfg, ds: Dataset) -> SemanticNetConfig:
-    in_dim = len(ds.layout.indices("HVC"))
-    return SemanticNetConfig(in_dim=in_dim, n_classes=ds.n_categories,
-                             hidden1=cfg["sem_hidden1"],
-                             hidden2=cfg["sem_hidden2"],
-                             epochs=cfg["sem_epochs"], lr=cfg["sem_lr"],
-                             batch=cfg["sem_batch"], seed=cfg["seed"])
-
-
-def _gan_config(cfg, resolution, semantic_dim=None) -> GanTrainConfig:
-    return GanTrainConfig(resolution=resolution,
-                          lambda_img=cfg["gan_lambda_img"],
-                          lr=cfg["gan_lr"], batch=cfg["gan_batch"],
-                          epochs=cfg["gan_epochs"],
-                          decay_start=cfg["gan_decay_start"],
-                          base_channels=cfg["gan_base_channels"],
-                          semantic_dim=(cfg["gan_semantic_dim"]
-                                        if semantic_dim is None else semantic_dim),
-                          disc_mode=cfg["gan_disc_mode"], seed=cfg["seed"])
+    return _config(cfg, SemanticNetConfig, n_classes=ds.n_categories,
+                   in_dim=len(ds.layout.indices("HVC")))
 
 
 def _dataset_files(out):
@@ -228,7 +217,7 @@ def _dataset_files(out):
 
 def cmd_simulate(cfg):
     out = _require_out(cfg)
-    ds, _ = simulate(_sim_config(cfg))
+    ds, _ = simulate(_config(cfg, SyntheticConfig))
     save_dataset(ds, out)
     write_manifest(out, "simulate", cfg, _dataset_files(out))
     print("simulate: wrote dataset with %d records to %s" % (len(ds.records), out))
@@ -273,12 +262,12 @@ def cmd_train_gan(cfg):
     ds = average_test_trials(_load_ds(cfg))
     out = _require_out(cfg)
     dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
-    no_sem = cfg["mode"] == "no_semantics"
     sem_net = None
-    if not no_sem:
+    if cfg["mode"] != "no_semantics":
         sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
                                               required=True))
-    gan_cfg = _gan_config(cfg, ds.image_size, semantic_dim=0 if no_sem else None)
+    gan_cfg = _config(cfg, GanTrainConfig, resolution=ds.image_size,
+                      semantic_dim=sem_net.config.hidden2 if sem_net else 0)
     pairs = training_pairs(ds, dec, sem_net, ds.split_records("train"))
     gen = build_generator(gan_cfg)
     disc = build_discriminator(gan_cfg)
@@ -332,15 +321,12 @@ def cmd_evaluate(cfg):
         dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd",
                                            required=True))
         preds, _ = decode_records(dec, None, test, ds.layout)
-        gts = projected_masks(ds, test, cfg["patch_size"])
+        gts = projected_masks(ds, test, dec.patch_size)
         label = "shape"
-    elif cfg["metric"] == "recon":
+    else:
         _, preds = _reconstruct_all(cfg, ds)
         gts = [ds.stimuli[r.stimulus_id] for r in test]
         label = cfg["mode"]
-    else:
-        raise CliError("unknown metric %r (expected shape or recon)"
-                       % cfg["metric"])
     report = pairwise_win_rate(preds, gts, runs=cfg["runs"], seed=cfg["seed"])
     path = _artifact(cfg, "report_%s.csv" % cfg["metric"])
     write_report_csv(path, report_rows(report, label))
@@ -372,7 +358,7 @@ def cmd_ablate(cfg, which):
     else:
         drop_mode = {"semantics": "no_semantics",
                      "augmentation": "no_augmentation"}[which]
-        gan_cfg = _gan_config(cfg, ds.image_size)
+        gan_cfg = _config(cfg, GanTrainConfig, resolution=ds.image_size)
         aug = None
         if which == "augmentation":
             # reuse training stimuli as extra labelled images without voxels
@@ -380,7 +366,7 @@ def cmd_ablate(cfg, which):
                    for r in ds.split_records("train")]
         common = dict(shape_lambda=cfg["shape_lambda"],
                       patch_size=cfg["patch_size"], augment_images=aug,
-                      runs=cfg["runs"])
+                      runs=cfg["runs"], semantic_config=_sem_config(cfg, ds))
         full = run_pipeline(ds, gan_cfg, mode="full", **common)
         drop = run_pipeline(ds, gan_cfg, mode=drop_mode, **common)
         rows = report_rows(full.report, "full") + report_rows(drop.report,

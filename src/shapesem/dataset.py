@@ -186,9 +186,10 @@ def read_pgm(path) -> np.ndarray:
         raise DataError("PGM size %dx%d in %s" % (w, h, path))
     if not 1 <= maxval <= 255:
         raise DataError("PGM maxval %d outside 1..255 in %s" % (maxval, path))
-    px = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8)
+    px = np.frombuffer(raw[pos:], dtype=np.uint8)
     if px.size != w * h:
-        raise DataError("truncated PGM payload in %s" % path)
+        raise DataError("PGM payload of %d bytes in %s, expected %d"
+                        % (px.size, path, w * h))
     return (px.reshape(h, w).astype(np.float32) / maxval).astype(np.float32)
 
 
@@ -310,6 +311,7 @@ def otsu_threshold(image: np.ndarray, bins: int = 256) -> float:
 
 DEFAULT_VOXELS = {"V1": 500, "V2": 500, "V3": 500, "LOC": 400, "FFA": 400, "PPA": 400}
 MAX_CATEGORIES = 30  # 3 template families x 10 size bands
+HVC_SHAPE_LEAK = 0.1  # weight of the patch features in the HVC responses
 
 
 @dataclass
@@ -322,8 +324,7 @@ class SyntheticConfig:
     train_trials: int = 1
     test_trials: int = 3
     voxels_per_roi: dict = field(default_factory=lambda: dict(DEFAULT_VOXELS))
-    noise_sigma: object = 0.1  # scalar or {roi: sigma}
-    hvc_shape_leak: float = 0.1
+    noise_sigma: float = 0.1  # the same in every ROI
     identical_shapes: bool = False
     seed: int = 0
 
@@ -331,20 +332,16 @@ class SyntheticConfig:
         s = self.image_size
         if s < 16 or s & (s - 1):
             raise ConfigError("image_size must be a power of two >= 16")
-        if s % self.patch_size:
-            raise ConfigError("patch_size must divide image_size")
+        if self.patch_size < 1 or s % self.patch_size:
+            raise ConfigError("patch_size must be a positive divisor of "
+                              "image_size, got %d" % self.patch_size)
         if not 1 <= self.categories <= MAX_CATEGORIES:
             raise ConfigError("categories must be in [1, %d]" % MAX_CATEGORIES)
         for roi in REQUIRED_ROIS:
             if roi not in self.voxels_per_roi:
                 raise ConfigError("voxels_per_roi missing %r" % roi)
-        if np.min(list(self.sigma_map().values())) < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError("noise_sigma must be >= 0")
-
-    def sigma_map(self) -> dict:
-        if isinstance(self.noise_sigma, dict):
-            return {roi: float(self.noise_sigma.get(roi, 0.0)) for roi in REQUIRED_ROIS}
-        return {roi: float(self.noise_sigma) for roi in REQUIRED_ROIS}
 
 
 @dataclass
@@ -399,7 +396,7 @@ def simulate(config: SyntheticConfig):
     s, m = config.image_size, config.patch_size
     g2 = (s // m) ** 2
     ncat = config.categories
-    sigma = config.sigma_map()
+    sigma = float(config.noise_sigma)
 
     lvc_maps, hvc_cat_maps, hvc_shape_maps = {}, {}, {}
     for roi in LVC_ROIS:
@@ -442,9 +439,9 @@ def simulate(config: SyntheticConfig):
                 mean = lvc_maps[roi].astype(np.float64) @ p
             else:
                 mean = (hvc_cat_maps[roi].astype(np.float64) @ onehot
-                        + config.hvc_shape_leak
+                        + HVC_SHAPE_LEAK
                         * (hvc_shape_maps[roi].astype(np.float64) @ p))
-            noise = sigma[roi] * rng.standard_normal(d) if sigma[roi] > 0 else 0.0
+            noise = sigma * rng.standard_normal(d) if sigma > 0 else 0.0
             parts.append(mean + noise)
         return np.concatenate(parts).astype(np.float32)
 

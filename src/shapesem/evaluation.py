@@ -15,7 +15,7 @@ from .gan import (GanTrainConfig, build_discriminator, build_generator,
 from .patches import extract_patch_features, upsample_nearest
 from .semantic import (SemanticNetConfig, accuracy, category_average,
                        semantic_features_batch, train_semantic)
-from .shape_decoder import decode_shape_batch, fit_shape_decoder
+from .shape_decoder import DEFAULT_LAMBDA, decode_shape_batch, fit_shape_decoder
 
 # published win rates, kept in reports for orientation only, never asserted
 REFERENCE_WIN_RATES = {
@@ -109,6 +109,8 @@ def pairwise_win_rate(recons, ground_truths, runs: int = 5, seed: int = 0,
     similar to its own ground truth than to a random other test image."""
     if len(recons) != len(ground_truths) or len(recons) < 2:
         raise DataError("need aligned lists with at least 2 images")
+    if runs < 1:
+        raise DataError("runs must be >= 1, got %d" % runs)
     n = len(recons)
     idx = np.arange(n)
     # pair keys i * n + j: row 0 the own pairs, row r + 1 run r's distractors,
@@ -175,7 +177,7 @@ def _holdout_validation(ds: Dataset, n_validation: int = 40) -> Dataset:
 
 
 def roi_ablation(ds: Dataset, roi_sets=("V1", "V2", "V3", "LVC", "HVC", "VC"),
-                 n_validation: int = 40, shape_lambda: float = 1e-2,
+                 n_validation: int = 40, shape_lambda: float = DEFAULT_LAMBDA,
                  patch_size: int = 8, seed: int = 0, runs: int = 5):
     """Shape win-rate and semantic accuracy per ROI set on held-out samples."""
     if not roi_sets:
@@ -212,13 +214,15 @@ class PipelineResult:
 
 
 def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
-                 shape_lambda: float = 1e-2, patch_size: int = 8,
+                 shape_lambda: float = DEFAULT_LAMBDA, patch_size: int = 8,
                  semantic_config: SemanticNetConfig | None = None,
                  augment_images=None, runs: int = 5) -> PipelineResult:
     """Train all stages on one dataset and evaluate on the averaged test set.
 
     ``mode``: full | no_semantics | no_augmentation.  ``augment_images`` is a
-    list of (image, category_id) used for GAN data augmentation.
+    list of (image, category_id) used for GAN data augmentation.  The GAN's
+    ``semantic_dim`` is set to the semantic net's ``hidden2``, or 0 in
+    no_semantics mode, whatever ``gan_config`` says.
     """
     if mode not in ("full", "no_semantics", "no_augmentation"):
         raise DataError("unknown mode %r" % mode)
@@ -229,11 +233,11 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
     shape_dec = fit_shape_decoder(ds, ("V1", "V2", "V3"), shape_lambda, patch_size)
 
     sem_net = None
-    if mode == "no_semantics":
-        gan_config = replace(gan_config, semantic_dim=0)
-    else:
+    if mode != "no_semantics":
         sem_net = train_semantic(ds, semantic_config, roi_set="HVC",
                                  seed=gan_config.seed)
+    gan_config = replace(gan_config,
+                         semantic_dim=sem_net.config.hidden2 if sem_net else 0)
 
     pairs = training_pairs(ds, shape_dec, sem_net, train_recs)
 
@@ -260,16 +264,15 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
 
 # -- reports ------------------------------------------------------------
 
-def write_report_csv(path, rows, include_reference: bool = True) -> None:
+def write_report_csv(path, rows) -> None:
     """Rows of (metric, label, run, value); RFC-4180 via the csv module."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "label", "run", "value"])
         for metric, label, run, value in rows:
             w.writerow([metric, label, run, "%.8g" % value])
-        if include_reference:
-            for label, value in REFERENCE_WIN_RATES.items():
-                w.writerow(["reference_win_rate", label, "", "%.8g" % value])
+        for label, value in REFERENCE_WIN_RATES.items():
+            w.writerow(["reference_win_rate", label, "", "%.8g" % value])
 
 
 def report_rows(report: EvalReport, label: str):

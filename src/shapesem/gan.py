@@ -37,21 +37,23 @@ class GanTrainConfig:
     decay_start: int = 120
     base_channels: int = 16
     semantic_dim: int = 64  # 0 disables semantic conditioning
-    disc_mode: str = "patch"  # or "global"
     seed: int = 0
 
     def __post_init__(self):
         s = self.resolution
         if s < 16 or s & (s - 1):
             raise ConfigError("resolution must be a power of two >= 16")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
         if not self.decay_start < self.epochs:
             raise ConfigError("decay_start must be < epochs")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1, got %d" % self.batch)
+        if self.base_channels < 1:
+            raise ConfigError("base_channels must be >= 1, got %d"
+                              % self.base_channels)
         if self.semantic_dim < 0:
             raise ConfigError("semantic_dim must be >= 0")
-        if self.disc_mode not in ("patch", "global"):
-            raise ConfigError("disc_mode must be 'patch' or 'global'")
 
 
 def _channel_schedule(base: int, depth: int):
@@ -135,21 +137,11 @@ class DiscriminatorNet(Sequentialish):
             if bn is not None:
                 h = bn(h)
             h = T.leaky_relu(h, 0.2)
-        logits = self.head(h)
-        if self.config.disc_mode == "global":
-            logits = _spatial_mean(logits)
-        return T.sigmoid(logits)
+        return T.sigmoid(self.head(h))
 
 
-def _spatial_mean(x: Tensor) -> Tensor:
-    n, c, h, w = x.shape
-    flat = T.reshape(x, (n, c * h * w))
-    ones = Tensor(np.full((c * h * w, 1), 1.0 / (c * h * w), dtype=np.float32))
-    return T.reshape(T.matmul(flat, ones), (n, 1, 1, 1))
-
-
-def build_generator(config: GanTrainConfig, seed_offset: int = 0) -> GeneratorNet:
-    return GeneratorNet(config, np.random.default_rng(config.seed + seed_offset))
+def build_generator(config: GanTrainConfig) -> GeneratorNet:
+    return GeneratorNet(config, np.random.default_rng(config.seed))
 
 
 def build_discriminator(config: GanTrainConfig) -> DiscriminatorNet:
@@ -195,7 +187,7 @@ class AugmentedPair:
 
 
 def make_augmented_pairs(images_with_labels, category_averages: dict,
-                         m: int = 8, threshold="auto"):
+                         m: int = 8):
     """Build {R_sp, R_sm} pairs from external labeled images.
 
     Images whose label has no category-average feature are rejected; returns
@@ -206,7 +198,7 @@ def make_augmented_pairs(images_with_labels, category_averages: dict,
         if int(label) not in category_averages:
             rejected += 1
             continue
-        mask = binarize_mask(image, threshold)
+        mask = binarize_mask(image)
         grid = extract_patch_features(mask, m)
         pairs.append(AugmentedPair(upsample_nearest(grid, m),
                                    category_averages[int(label)],

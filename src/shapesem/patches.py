@@ -15,8 +15,9 @@ def extract_patch_features(image: np.ndarray, m: int) -> np.ndarray:
     """
     image = np.asarray(image, dtype=np.float64)
     s = image.shape[0]
-    if image.shape != (s, s) or s % m:
-        raise ConfigError("patch size %d must divide image size %s" % (m, image.shape))
+    if m < 1 or image.shape != (s, s) or s % m:
+        raise ConfigError("patch_size %d must be a positive divisor of the "
+                          "image size %s" % (m, image.shape))
     g = s // m
     return image.reshape(g, m, g, m).mean(axis=(1, 3)).astype(np.float32)
 

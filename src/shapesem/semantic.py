@@ -35,12 +35,16 @@ class SemanticNetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.hidden1 < 1:
+            raise ConfigError("hidden1 must be >= 1, got %d" % self.hidden1)
         if self.hidden2 < 2:
             raise ConfigError("hidden2 must be >= 2")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1, got %d" % self.batch)
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
 
 
 class SemanticNet:

@@ -77,8 +77,8 @@ def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
     train = ds.split_records("train")
     if len(train) < 2:
         raise DataError("need at least 2 training records")
-    g = ds.image_size // m
     p = _targets(ds, train, m).astype(np.float64)
+    g = ds.image_size // m
     p_mean = p.mean(axis=0)
     out = {}
     for roi in rois:

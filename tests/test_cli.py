@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestShapeEvaluate:
 
 GAN_SMALL = ["--set", "gan_epochs=3", "--set", "gan_decay_start=2",
              "--set", "gan_batch=4", "--set", "gan_base_channels=4",
-             "--set", "gan_semantic_dim=8", "--set", "gan_lr=1e-3",
+             "--set", "gan_lr=1e-3",
              "--set", "sem_hidden1=32", "--set", "sem_hidden2=8",
              "--set", "sem_epochs=20"]
 
@@ -234,7 +235,7 @@ TINY_SIM = ["--set", "image_size=16", "--set", "categories=2",
             "--set", "n_train=8", "--set", "n_test=4", "--set", "test_trials=1"]
 TINY_MODELS = ["--set", "gan_epochs=2", "--set", "gan_decay_start=1",
                "--set", "gan_batch=4", "--set", "gan_base_channels=2",
-               "--set", "gan_semantic_dim=4", "--set", "sem_hidden1=8",
+               "--set", "sem_hidden1=8",
                "--set", "sem_hidden2=4", "--set", "sem_epochs=2"]
 
 
@@ -433,3 +434,117 @@ def test_training_artifacts_byte_identical(tiny_model, tmp_path):
     for name in ("semantic_net.sem", "gan.ckpt", "gan_loss.csv"):
         assert (again / name).read_bytes() == open(os.path.join(art, name),
                                                    "rb").read(), name
+
+
+@pytest.mark.parametrize("key", ["gan_semantic_dim", "gan_disc_mode"])
+def test_removed_key_rejected(tmp_path, capsys, key):
+    """The GAN's conditioning width is the semantic net's, and its
+    discriminator is always the patch one: neither is a key."""
+    assert run_cli("simulate", "--seed", "1", "--out", str(tmp_path / "d"),
+                   "--set", key + "=8") == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, settings, name", [
+    ("simulate", "patch_size=0", "patch_size"),
+    ("train-shape", "patch_size=0", "patch_size"),
+    ("train-shape", "patch_size=-8", "patch_size"),
+    ("evaluate", "runs=0", "runs"),
+    ("evaluate", "runs=-1", "runs"),
+    ("train-gan", "mode=nosemantics", "mode"),
+    ("train-semantic", "sem_hidden1=0", "hidden1"),
+    ("train-semantic", "sem_epochs=0", "epochs"),
+    ("train-gan", "gan_base_channels=0", "base_channels"),
+    ("train-gan", "gan_base_channels=-1", "base_channels"),
+    ("train-gan", "gan_epochs=-1 gan_decay_start=-2", "epochs"),
+])
+def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name):
+    """A value out of its range exits 1 naming the key or field, instead of
+    a traceback from deep inside a stage or a silent result."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    argv = [cmd, "--seed", "0", "--out", str(out), *TINY_MODELS]
+    if cmd != "simulate":
+        argv += ["--dataset", ds]
+    for item in settings.split():
+        argv += ["--set", item]
+    assert run_cli(*argv) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_shape_evaluate_uses_decoder_patch_size(noiseless_run, tmp_path):
+    """Masks are projected at the patch size the decoder was fitted with,
+    whatever the patch_size key says."""
+    ds, art = noiseless_run
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    reports = []
+    for extra in ([], ["--set", "patch_size=4"]):
+        assert run_cli("evaluate", "--dataset", ds, "--out", str(out),
+                       "--metric", "shape", "--seed", "0", *extra) == 0
+        reports.append((out / "report_shape.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_ablate_honours_semantic_keys(tiny_model, tmp_path, monkeypatch):
+    """ablate semantics trains the semantic net the sem_* keys describe."""
+    import shapesem.cli as cli
+    from shapesem.evaluation import EvalReport
+
+    ds, _ = tiny_model
+    calls = []
+
+    def spy(ds, gan_config, mode, **kwargs):
+        calls.append((mode, kwargs["semantic_config"]))
+        return SimpleNamespace(report=EvalReport([0.5], [0.5], 0.5, 1, 0))
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    assert run_cli("ablate", "semantics", "--seed", "3", "--dataset", ds,
+                   "--out", str(tmp_path / "art"), "--set", "sem_hidden1=16",
+                   "--set", "sem_hidden2=8", "--set", "sem_epochs=2") == 0
+    assert [mode for mode, _ in calls] == ["full", "no_semantics"]
+    for _, sem in calls:
+        assert (sem.hidden1, sem.hidden2, sem.epochs, sem.seed) == (16, 8, 2, 3)
+
+
+def test_ablate_augmentation_with_small_semantic_net(tiny_model, tmp_path):
+    """The GAN's conditioning width follows sem_hidden2 in ablate too."""
+    ds, _ = tiny_model
+    art = tmp_path / "art"
+    assert run_cli("ablate", "augmentation", "--seed", "0", "--dataset", ds,
+                   "--out", str(art), "--runs", "2", *TINY_MODELS) == 0
+    with open(art / "ablation_augmentation.csv", newline="") as fh:
+        labels = {row[1] for row in csv.reader(fh) if row[0] == "mean_win_rate"}
+    assert labels == {"full", "no_augmentation"}
+
+
+def test_pgm_trailing_bytes_names_file(tiny_model, tmp_path, capsys):
+    """A stimulus PGM with bytes after its payload exits 1 with the image
+    named instead of loading silently."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    victim = sorted((bad / "stimuli").iterdir())[0]
+    victim.write_bytes(victim.read_bytes() + b"junkjunk")
+    assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
+                   "--out", str(tmp_path / "art")) == 1
+    assert victim.name in capsys.readouterr().err
+
+
+def test_checkpoint_naming_disc_mode_names_file(tiny_model, tmp_path, capsys):
+    """A gan.ckpt whose header names disc_mode, as older checkpoints do,
+    exits 1 with the file named."""
+    from shapesem.gan import CHECKPOINT_MAGIC
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    with open_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC) as (header, arrays):
+        pass
+    save_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC,
+                  dict(header, disc_mode="patch"), arrays)
+    assert _evaluate_recon(ds, out) == 1
+    err = capsys.readouterr().err
+    assert "gan.ckpt" in err and "disc_mode" in err

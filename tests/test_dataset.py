@@ -142,7 +142,8 @@ class TestPgm:
 
     @pytest.mark.parametrize("header", [b"P5\nab 16\n255\n",
                                         b"P5\n# no newline",
-                                        b"P5\n-2 -2\n255\n" + bytes(4)])
+                                        b"P5\n-2 -2\n255\n" + bytes(4),
+                                        b"P5\n2 2\n255\n" + bytes(4) + b"junkjunk"])
     def test_malformed_header_names_file(self, tmp_path, header):
         path = tmp_path / "h.pgm"
         path.write_bytes(header)
