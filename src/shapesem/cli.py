@@ -283,20 +283,23 @@ def cmd_train_gan(cfg):
 
 
 def _reconstruct_all(cfg, ds):
+    """(decoded shapes, reconstructions) of the test records, and the
+    generator's config."""
     dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
     gen, _, gan_cfg = load_checkpoint(_artifact(cfg, "gan.ckpt", required=True))
     sem_net = None
     if gan_cfg.semantic_dim > 0:
         sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
                                               required=True))
-    return reconstruct_records(gen, dec, sem_net, ds.split_records("test"),
-                               ds.layout)
+    shapes, recons = reconstruct_records(gen, dec, sem_net,
+                                         ds.split_records("test"), ds.layout)
+    return shapes, recons, gan_cfg
 
 
 def cmd_reconstruct(cfg):
     ds = average_test_trials(_load_ds(cfg))
     out = _require_out(cfg)
-    shapes, recons = _reconstruct_all(cfg, ds)
+    shapes, recons, _ = _reconstruct_all(cfg, ds)
     test = ds.split_records("test")
     written = []
     for i, img in enumerate(recons):
@@ -324,9 +327,14 @@ def cmd_evaluate(cfg):
         gts = projected_masks(ds, test, dec.patch_size)
         label = "shape"
     else:
-        _, preds = _reconstruct_all(cfg, ds)
+        _, preds, gan_cfg = _reconstruct_all(cfg, ds)
         gts = [ds.stimuli[r.stimulus_id] for r in test]
-        label = cfg["mode"]
+        # the label names the checkpoint's model, not just the mode key
+        conditioned = gan_cfg.semantic_dim > 0
+        if conditioned and cfg["mode"] == "no_semantics":
+            raise CliError("mode=no_semantics, but %s is conditioned on "
+                           "semantics" % _artifact(cfg, "gan.ckpt"))
+        label = cfg["mode"] if conditioned else "no_semantics"
     report = pairwise_win_rate(preds, gts, runs=cfg["runs"], seed=cfg["seed"])
     path = _artifact(cfg, "report_%s.csv" % cfg["metric"])
     write_report_csv(path, report_rows(report, label))

@@ -292,9 +292,9 @@ def binarize_mask(image: np.ndarray, threshold="auto") -> np.ndarray:
     return (image >= float(threshold)).astype(np.float32)
 
 
-def otsu_threshold(image: np.ndarray, bins: int = 256) -> float:
-    """Threshold maximizing between-class variance of the histogram."""
-    hist, edges = np.histogram(np.asarray(image).ravel(), bins=bins, range=(0.0, 1.0))
+def otsu_threshold(image: np.ndarray) -> float:
+    """Threshold maximizing between-class variance of a 256-bin histogram."""
+    hist, edges = np.histogram(np.asarray(image).ravel(), bins=256, range=(0.0, 1.0))
     p = hist.astype(np.float64) / hist.sum()
     centers = (edges[:-1] + edges[1:]) / 2.0
     omega = np.cumsum(p)
@@ -337,6 +337,10 @@ class SyntheticConfig:
                               "image_size, got %d" % self.patch_size)
         if not 1 <= self.categories <= MAX_CATEGORIES:
             raise ConfigError("categories must be in [1, %d]" % MAX_CATEGORIES)
+        for name in ("n_train", "n_test", "train_trials", "test_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError("%s must be >= 1, got %d"
+                                  % (name, getattr(self, name)))
         for roi in REQUIRED_ROIS:
             if roi not in self.voxels_per_roi:
                 raise ConfigError("voxels_per_roi missing %r" % roi)
@@ -416,45 +420,36 @@ def simulate(config: SyntheticConfig):
     layout = RoiLayout(tuple(spans))
 
     intensities = _category_intensity(ncat)
-    stimuli, masks, patch_grids = {}, {}, {}
-    stim_cats = {}
-    for split, count in (("train", config.n_train), ("test", config.n_test)):
-        for i in range(count):
-            sid = "%s_%04d" % (split, i)
-            cat = i % ncat
-            mask = _render_template(cat, s, rng, config.identical_shapes)
-            stimuli[sid] = (mask * intensities[cat]).astype(np.float32)
-            masks[sid] = mask
-            patch_grids[sid] = extract_patch_features(mask, m)
-            stim_cats[sid] = cat
+    stims = [("%s_%04d" % (split, i), split, i % ncat)
+             for split, count in (("train", config.n_train), ("test", config.n_test))
+             for i in range(count)]
+    masks = {sid: _render_template(cat, s, rng, config.identical_shapes)
+             for sid, _, cat in stims}
+    stimuli = {sid: (masks[sid] * intensities[cat]).astype(np.float32)
+               for sid, _, cat in stims}
+    grids = extract_patch_features(np.stack(list(masks.values())), m)
 
-    def encode(sid: str) -> np.ndarray:
-        p = patch_grids[sid].reshape(-1).astype(np.float64)
-        onehot = np.zeros(ncat)
-        onehot[stim_cats[sid]] = 1.0
-        parts = []
-        for roi in REQUIRED_ROIS:
-            d = config.voxels_per_roi[roi]
-            if roi in LVC_ROIS:
-                mean = lvc_maps[roi].astype(np.float64) @ p
-            else:
-                mean = (hvc_cat_maps[roi].astype(np.float64) @ onehot
-                        + HVC_SHAPE_LEAK
-                        * (hvc_shape_maps[roi].astype(np.float64) @ p))
-            noise = sigma * rng.standard_normal(d) if sigma > 0 else 0.0
-            parts.append(mean + noise)
-        return np.concatenate(parts).astype(np.float32)
+    # noise-free response of every voxel to every stimulus, one product per
+    # ROI; its float64 sums may round apart from per-stimulus products in
+    # the last bits, which the float32 voxels do not keep
+    p = grids.reshape(len(stims), -1).astype(np.float64)
+    cats = [cat for _, _, cat in stims]
+    means = np.concatenate([
+        p @ lvc_maps[roi].astype(np.float64).T if roi in LVC_ROIS
+        else (hvc_cat_maps[roi].T[cats].astype(np.float64)
+              + HVC_SHAPE_LEAK * (p @ hvc_shape_maps[roi].astype(np.float64).T))
+        for roi in REQUIRED_ROIS], axis=1)
 
+    trials = {"train": config.train_trials, "test": config.test_trials}
     records = []
-    for split, count, trials in (("train", config.n_train, config.train_trials),
-                                 ("test", config.n_test, config.test_trials)):
-        for i in range(count):
-            sid = "%s_%04d" % (split, i)
-            for t in range(trials):
-                records.append(TrialRecord(sid, stim_cats[sid], split, t, encode(sid)))
+    for (sid, split, cat), mean in zip(stims, means):
+        for t in range(trials[split]):
+            noise = sigma * rng.standard_normal(len(mean)) if sigma > 0 else 0.0
+            records.append(TrialRecord(sid, cat, split, t,
+                                       (mean + noise).astype(np.float32)))
 
     ds = Dataset(layout, records, stimuli, masks,
                  ["category_%02d" % c for c in range(ncat)])
-    truth = SimTruth(lvc_maps, hvc_cat_maps, hvc_shape_maps, patch_grids,
-                     np.asarray(intensities))
+    truth = SimTruth(lvc_maps, hvc_cat_maps, hvc_shape_maps,
+                     dict(zip(masks, grids)), np.asarray(intensities))
     return ds, truth

@@ -25,13 +25,12 @@ REFERENCE_WIN_RATES = {
 }
 
 
-@dataclass
-class SsimParams:
-    window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
+# SSIM of Wang et al. 2004 (IEEE TIP 13(4)) on images in [0, 1]: an 11 x 11
+# Gaussian window of sigma 1.5, K1 0.01 and K2 0.03
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -45,52 +44,51 @@ _PAIR_CHUNK = 256  # image pairs per float64 block of cross terms
 
 
 @functools.lru_cache(maxsize=8)
-def _band(size: int, window: int, sigma: float) -> np.ndarray:
-    """(size - window + 1, size) rows of the normalised 1-D Gaussian at every
-    valid offset, so that ``band @ x @ band.T`` is the windowed mean of x."""
-    if window > size:
+def _band(size: int) -> np.ndarray:
+    """(size - SSIM_WINDOW + 1, size) rows of the normalised 1-D Gaussian at
+    every valid offset, so that ``band @ x @ band.T`` is the windowed mean of
+    x."""
+    if SSIM_WINDOW > size:
         raise DimensionError("image side %d is below the SSIM window" % size)
-    g = _gaussian_window(window, sigma).sum(axis=0)
-    band = np.zeros((size - window + 1, size))
+    g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA).sum(axis=0)
+    band = np.zeros((size - SSIM_WINDOW + 1, size))
     for r in range(len(band)):
-        band[r, r : r + window] = g
+        band[r, r : r + SSIM_WINDOW] = g
     band.flags.writeable = False  # cached and shared by every caller
     return band
 
 
-def _filter(stack: np.ndarray, params: SsimParams) -> np.ndarray:
+def _filter(stack: np.ndarray) -> np.ndarray:
     """Windowed means of each image of an (n, H, W) stack: one small gemm per
     image and side, so no result depends on its position in the stack."""
     _, h, w = stack.shape
-    return (_band(h, params.window_size, params.sigma) @ stack
-            @ _band(w, params.window_size, params.sigma).T)
+    return _band(h) @ stack @ _band(w).T
 
 
-def _ssim_pairs(a, b, i, j, params: SsimParams) -> np.ndarray:
+def _ssim_pairs(a, b, i, j) -> np.ndarray:
     """Mean SSIM of a[i[k]] against b[j[k]] for every k: local means and
     variances once per image, per pair only the cross term, in chunks."""
     if a.shape[1:] != b.shape[1:]:
         raise DimensionError("ssim inputs differ: %s vs %s" % (a.shape[1:], b.shape[1:]))
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
-    mu_a, mu_b = _filter(a, params), _filter(b, params)
-    var_a = _filter(a * a, params) - mu_a ** 2
-    var_b = _filter(b * b, params) - mu_b ** 2
+    mu_a, mu_b = _filter(a), _filter(b)
+    var_a = _filter(a * a) - mu_a ** 2
+    var_b = _filter(b * b) - mu_b ** 2
     out = np.empty(len(i))
     for lo in range(0, len(i), _PAIR_CHUNK):
         ii, jj = i[lo : lo + _PAIR_CHUNK], j[lo : lo + _PAIR_CHUNK]
         ma, mb = mu_a[ii], mu_b[jj]
-        cov = _filter(a[ii] * b[jj], params) - ma * mb
-        num = (2 * ma * mb + c1) * (2 * cov + c2)
-        den = (ma ** 2 + mb ** 2 + c1) * (var_a[ii] + var_b[jj] + c2)
+        cov = _filter(a[ii] * b[jj]) - ma * mb
+        num = (2 * ma * mb + SSIM_C1) * (2 * cov + SSIM_C2)
+        den = ((ma ** 2 + mb ** 2 + SSIM_C1)
+               * (var_a[ii] + var_b[jj] + SSIM_C2))
         out[lo : lo + len(ii)] = (num / den).mean(axis=(1, 2))
     return out
 
 
-def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams | None = None) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over sliding Gaussian windows."""
     a, b = (np.asarray(x, dtype=np.float64)[None] for x in (a, b))
-    return float(_ssim_pairs(a, b, [0], [0], params or SsimParams())[0])
+    return float(_ssim_pairs(a, b, [0], [0])[0])
 
 
 @dataclass
@@ -103,8 +101,8 @@ class EvalReport:
     reference: dict = field(default_factory=lambda: dict(REFERENCE_WIN_RATES))
 
 
-def pairwise_win_rate(recons, ground_truths, runs: int = 5, seed: int = 0,
-                      params: SsimParams | None = None) -> EvalReport:
+def pairwise_win_rate(recons, ground_truths, runs: int = 5,
+                      seed: int = 0) -> EvalReport:
     """Two-alternative identification: a reconstruction wins when it is more
     similar to its own ground truth than to a random other test image."""
     if len(recons) != len(ground_truths) or len(recons) < 2:
@@ -121,7 +119,7 @@ def pairwise_win_rate(recons, ground_truths, runs: int = 5, seed: int = 0,
         keys.append(idx * n + j + (j >= idx))
     pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     a, b = (np.asarray(x, dtype=np.float64) for x in (recons, ground_truths))
-    scores = _ssim_pairs(a, b, pairs // n, pairs % n, params or SsimParams())
+    scores = _ssim_pairs(a, b, pairs // n, pairs % n)
     own, other = np.split(scores[inverse].reshape(runs + 1, n), [1])
     wins = ((own > other) + 0.5 * (own == other)).sum(axis=1)
     run_rates = [float(w) / n for w in wins]
@@ -155,11 +153,12 @@ def reconstruct_records(generator, shape_dec, sem_net, records, layout):
     return shapes, generate_batch(generator, shapes, sems)
 
 
-def projected_masks(ds: Dataset, records, m: int):
-    """Each record's mask averaged over m x m patches and replicated back to
-    S x S: the shape-identification target at the decoder's resolution."""
-    return [upsample_nearest(extract_patch_features(ds.masks[r.stimulus_id], m), m)
-            for r in records]
+def projected_masks(ds: Dataset, records, m: int) -> np.ndarray:
+    """(n, S, S): each record's mask averaged over m x m patches and
+    replicated back to S x S, the shape-identification target at the
+    decoder's resolution."""
+    masks = np.stack([ds.masks[r.stimulus_id] for r in records])
+    return upsample_nearest(extract_patch_features(masks, m), m)
 
 
 # -- experiment runners -------------------------------------------------
@@ -248,8 +247,7 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
             averages = category_average([p[1] for p in pairs], labels)
         else:
             averages = dict.fromkeys(labels)
-        aug, _ = make_augmented_pairs(augment_images, averages, patch_size)
-        pairs.extend((a.shape, a.semantics, a.image) for a in aug)
+        pairs.extend(make_augmented_pairs(augment_images, averages, patch_size))
 
     gen = build_generator(gan_config)
     disc = build_discriminator(gan_config)

@@ -45,8 +45,15 @@ class GanTrainConfig:
             raise ConfigError("resolution must be a power of two >= 16")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
+        if self.decay_start < 0:
+            raise ConfigError("decay_start must be >= 0, got %d" % self.decay_start)
         if not self.decay_start < self.epochs:
             raise ConfigError("decay_start must be < epochs")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and > 0, got %r" % self.lr)
+        if not 0 <= self.lambda_img < np.inf:
+            raise ConfigError("lambda_img must be finite and >= 0, got %r"
+                              % self.lambda_img)
         if self.batch < 1:
             raise ConfigError("batch must be >= 1, got %d" % self.batch)
         if self.base_channels < 1:
@@ -177,33 +184,18 @@ def lr_at_epoch(config: GanTrainConfig, epoch: int) -> float:
 
 # -- training -----------------------------------------------------------
 
-@dataclass
-class AugmentedPair:
-    """Shape + category-average semantics from an external image; no voxels."""
-
-    shape: np.ndarray  # S x S in [0, 1]
-    semantics: np.ndarray  # (semantic_dim,)
-    image: np.ndarray  # S x S target
-
-
 def make_augmented_pairs(images_with_labels, category_averages: dict,
                          m: int = 8):
-    """Build {R_sp, R_sm} pairs from external labeled images.
-
-    Images whose label has no category-average feature are rejected; returns
-    (pairs, rejected_count).
-    """
-    pairs, rejected = [], 0
+    """(shape R_sp, category-average semantics R_sm, image) training pairs
+    from external labeled images; no voxels.  Images whose label has no
+    category-average feature are skipped."""
+    pairs = []
     for image, label in images_with_labels:
-        if int(label) not in category_averages:
-            rejected += 1
-            continue
-        mask = binarize_mask(image)
-        grid = extract_patch_features(mask, m)
-        pairs.append(AugmentedPair(upsample_nearest(grid, m),
-                                   category_averages[int(label)],
-                                   np.asarray(image, dtype=np.float32)))
-    return pairs, rejected
+        if int(label) in category_averages:
+            grid = extract_patch_features(binarize_mask(image), m)
+            pairs.append((upsample_nearest(grid, m), category_averages[int(label)],
+                          np.asarray(image, dtype=np.float32)))
+    return pairs
 
 
 def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,

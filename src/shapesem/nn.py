@@ -74,12 +74,11 @@ class ConvTranspose2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, ch: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, ch: int):
         self.gamma = Tensor(np.ones(ch, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(ch, dtype=np.float32)
         self.running_var = np.ones(ch, dtype=np.float32)
-        self.momentum, self.eps = momentum, eps
         self.training = True
         self.batch_moments = []  # (mean, var) of the last training batch
 
@@ -92,13 +91,13 @@ class BatchNorm2d(Layer):
     def __call__(self, x):
         self.batch_moments = []
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, self.training, self.momentum,
-                            self.eps, self.batch_moments)
+                            self.running_var, self.training,
+                            moments=self.batch_moments)
 
     def repeat_running_update(self):
         """Step the running statistics once more toward the last batch's."""
         T.update_running_stats(self.running_mean, self.running_var,
-                               *self.batch_moments, self.momentum)
+                               *self.batch_moments, T.BN_MOMENTUM)
 
 
 class Sequentialish:

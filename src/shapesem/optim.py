@@ -9,6 +9,8 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .tensor import Tensor
 
+ADAM_EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
+
 
 @dataclass
 class AdamState:
@@ -25,16 +27,16 @@ class AdamState:
 
 
 def adam_update(param: Tensor, grad: np.ndarray, state: AdamState,
-                lr: float = 2e-4, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
+                lr: float = 2e-4, beta1: float = 0.9,
+                beta2: float = 0.999) -> None:
     """One in-place Adam step on ``param.data``; increments ``state.t``.
 
     ``state.m`` and ``state.v`` are updated in place and the step is built in
     two float32 buffers the size of the parameter, so the update makes no
     other temporaries.  With Python-float hyperparameters the float32
     operations and their order are those of the textbook form
-    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``, so the results are bitwise
-    the same.
+    ``param -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS)``, so the results are
+    bitwise the same.
     """
     grad = np.asarray(grad, dtype=np.float32)
     if grad.shape != param.data.shape:
@@ -57,7 +59,7 @@ def adam_update(param: Tensor, grad: np.ndarray, state: AdamState,
     np.divide(v, 1.0 - beta2 ** state.t, out=b)  # v_hat
     a *= lr
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     param.data -= a
 
@@ -66,19 +68,18 @@ class Adam:
     """Tracks AdamState per parameter; ``lr`` may be changed between steps."""
 
     def __init__(self, params, lr: float = 2e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.states = [AdamState.for_shape(p.shape) for p in self.params]
 
     def step(self):
         for p, s in zip(self.params, self.states):
             if p.grad is None:
                 continue
-            adam_update(p, p.grad, s, self.lr, self.beta1, self.beta2, self.eps)
+            adam_update(p, p.grad, s, self.lr, self.beta1, self.beta2)
 
     def zero_grad(self):
         for p in self.params:

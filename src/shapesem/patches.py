@@ -8,18 +8,20 @@ from .errors import ConfigError
 
 
 def extract_patch_features(image: np.ndarray, m: int) -> np.ndarray:
-    """Average non-overlapping m x m blocks of an S x S image -> g x g grid.
+    """Average non-overlapping m x m blocks of the last two axes of a
+    (..., S, S) image stack -> (..., g, g) grids.
 
-    Row-major flattening of the result defines the shape vector fed to the
+    Row-major flattening of a grid defines the shape vector fed to the
     decoders.
     """
     image = np.asarray(image, dtype=np.float64)
-    s = image.shape[0]
-    if m < 1 or image.shape != (s, s) or s % m:
+    s = image.shape[-1]
+    if m < 1 or image.shape[-2:] != (s, s) or s % m:
         raise ConfigError("patch_size %d must be a positive divisor of the "
-                          "image size %s" % (m, image.shape))
+                          "image size %s" % (m, image.shape[-2:]))
     g = s // m
-    return image.reshape(g, m, g, m).mean(axis=(1, 3)).astype(np.float32)
+    blocks = image.reshape(image.shape[:-2] + (g, m, g, m))
+    return blocks.mean(axis=(-3, -1)).astype(np.float32)
 
 
 def upsample_nearest(grid: np.ndarray, m: int) -> np.ndarray:

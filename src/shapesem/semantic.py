@@ -45,6 +45,8 @@ class SemanticNetConfig:
             raise ConfigError("batch must be >= 1, got %d" % self.batch)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and > 0, got %r" % self.lr)
 
 
 class SemanticNet:
@@ -140,19 +142,18 @@ def accuracy(net: SemanticNet, ds: Dataset, records) -> float:
 
 
 def category_average(features, labels) -> dict:
-    """Arithmetic mean of semantic features per category (the R_sm table)."""
-    features = [np.asarray(f) for f in features]
-    if not features or len(features) != len(labels):
+    """Arithmetic mean of (n, d) semantic features per category (the R_sm
+    table)."""
+    features = np.asarray(features, dtype=np.float64)
+    if not len(features) or len(features) != len(labels):
         raise DataError("features and labels must be nonempty and aligned")
-    sums, counts = {}, {}
-    for f, lab in zip(features, labels):
-        lab = int(lab)
-        if lab not in sums:
-            sums[lab] = np.zeros(f.shape, dtype=np.float64)
-            counts[lab] = 0
-        sums[lab] += f
-        counts[lab] += 1
-    return {lab: (sums[lab] / counts[lab]).astype(np.float32) for lab in sums}
+    cats, inverse = np.unique(np.asarray(labels, dtype=np.int64),
+                              return_inverse=True)
+    # np.add.at adds in record order, as a running sum per category would
+    sums = np.zeros((len(cats), features.shape[1]))
+    np.add.at(sums, inverse, features)
+    means = sums / np.bincount(inverse)[:, None]
+    return dict(zip(cats.tolist(), means.astype(np.float32)))
 
 
 # -- persistence --------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, TrialRecord
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .linalg import ridge_solve
 from .patches import extract_patch_features, upsample_nearest
 from .serial import check_shapes, open_artifact, save_artifact
@@ -60,10 +60,9 @@ class ShapeDecoder:
 
 
 def _targets(ds: Dataset, records, m: int) -> np.ndarray:
-    return np.stack([
-        extract_patch_features(ds.masks[r.stimulus_id], m).reshape(-1)
-        for r in records
-    ])
+    """(n, g, g) patch grids of the records' masks."""
+    return extract_patch_features(
+        np.stack([ds.masks[r.stimulus_id] for r in records]), m)
 
 
 def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
@@ -74,10 +73,12 @@ def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
     is scaled by trace(X'X)/d to make the default resolution independent of
     voxel count and signal scale.
     """
+    if not 0 <= lam < np.inf:
+        raise ConfigError("shape_lambda must be finite and >= 0, got %r" % lam)
     train = ds.split_records("train")
     if len(train) < 2:
         raise DataError("need at least 2 training records")
-    p = _targets(ds, train, m).astype(np.float64)
+    p = _targets(ds, train, m).reshape(len(train), -1).astype(np.float64)
     g = ds.image_size // m
     p_mean = p.mean(axis=0)
     out = {}
@@ -139,9 +140,8 @@ def fit_shape_decoder(ds: Dataset, rois=("V1", "V2", "V3"),
     train = ds.split_records("train")
     preds = {roi: dec.predict(ds.layout.matrix(train, roi))
              for roi, dec in decoders.items()}
-    g = ds.image_size // m
-    targets = _targets(ds, train, m).reshape(-1, g, g)
-    return ShapeDecoder(decoders, fit_combiner(preds, targets, convex), m)
+    return ShapeDecoder(decoders, fit_combiner(preds, _targets(ds, train, m),
+                                               convex), m)
 
 
 def decode_shape_batch(decoder: ShapeDecoder, records, layout) -> np.ndarray:

@@ -14,6 +14,8 @@ from scipy.special import expit
 from .errors import DimensionError, GraphError
 
 LOG_EPS = 1e-7  # clamp for log() inside loss terms
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+BN_EPS = 1e-5  # added to the variance before its square root
 
 
 class Tensor:
@@ -199,13 +201,13 @@ def tabs(a) -> Tensor:
     return _make(np.abs(a.data), (a,), bwd)
 
 
-def log_clamped(a, eps: float = LOG_EPS) -> Tensor:
-    """log(max(x, eps)); gradient is zero on the clamped region."""
+def log_clamped(a) -> Tensor:
+    """log(max(x, LOG_EPS)); gradient is zero on the clamped region."""
     a = _as_tensor(a)
-    u = np.maximum(a.data, eps)
+    u = np.maximum(a.data, LOG_EPS)
 
     def bwd(g):
-        a.accum_grad(np.where(a.data >= eps, g / u, 0.0).astype(np.float32))
+        a.accum_grad(np.where(a.data >= LOG_EPS, g / u, 0.0).astype(np.float32))
 
     return _make(np.log(u), (a,), bwd)
 
@@ -394,7 +396,7 @@ def update_running_stats(running_mean, running_var, mu, var, momentum: float):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               momentum: float = 0.1, eps: float = 1e-5,
+               momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
                moments: list | None = None) -> Tensor:
     """Per-channel normalization over (N, H, W) for 4-d input or (N,) for 2-d.
 

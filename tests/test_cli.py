@@ -457,6 +457,19 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("train-gan", "gan_base_channels=0", "base_channels"),
     ("train-gan", "gan_base_channels=-1", "base_channels"),
     ("train-gan", "gan_epochs=-1 gan_decay_start=-2", "epochs"),
+    ("simulate", "n_train=0", "n_train"),
+    ("simulate", "n_test=0", "n_test"),
+    ("simulate", "train_trials=0", "train_trials"),
+    ("simulate", "test_trials=0", "test_trials"),
+    ("train-shape", "shape_lambda=-1", "shape_lambda"),
+    ("train-shape", "shape_lambda=nan", "shape_lambda"),
+    ("train-gan", "gan_lr=-1", "lr"),
+    ("train-gan", "gan_lr=nan", "lr"),
+    ("train-gan", "gan_lambda_img=-5", "lambda_img"),
+    ("train-gan", "gan_decay_start=-5", "decay_start"),
+    ("train-semantic", "sem_lr=-1", "lr"),
+    ("train-semantic", "sem_lr=nan", "lr"),
+    ("train-semantic", "sem_lr=inf", "lr"),
 ])
 def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name):
     """A value out of its range exits 1 naming the key or field, instead of
@@ -471,6 +484,40 @@ def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name)
         argv += ["--set", item]
     assert run_cli(*argv) == 1
     assert name in capsys.readouterr().err
+
+
+def _recon_labels(art):
+    with open(art / "report_recon.csv", newline="") as fh:
+        return {row["label"] for row in csv.DictReader(fh)
+                if row["metric"] != "reference_win_rate"}
+
+
+def test_recon_report_labels_unconditioned_checkpoint(tiny_model, tmp_path):
+    """A gan.ckpt trained without semantics is reported as no_semantics,
+    although the mode key is left at its default."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    assert run_cli("train-gan", "--seed", "0", "--dataset", ds, "--out", str(out),
+                   "--mode", "no_semantics", *TINY_MODELS) == 0
+    assert _evaluate_recon(ds, out) == 0
+    assert _recon_labels(out) == {"no_semantics"}
+
+
+def test_recon_report_refuses_mode_the_checkpoint_is_not(tiny_model, tmp_path,
+                                                         capsys):
+    """mode=no_semantics against a conditioned gan.ckpt exits 1 naming the
+    key and the file, instead of a report labelled with the wrong model."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    assert run_cli("evaluate", "--dataset", ds, "--out", str(out), "--metric",
+                   "recon", "--seed", "0", "--set", "mode=no_semantics") == 1
+    err = capsys.readouterr().err
+    assert "mode" in err and str(out / "gan.ckpt") in err
+    assert not (out / "report_recon.csv").exists()
+    assert _evaluate_recon(ds, out) == 0
+    assert _recon_labels(out) == {"full"}
 
 
 def test_shape_evaluate_uses_decoder_patch_size(noiseless_run, tmp_path):

@@ -295,3 +295,83 @@ class TestSimulator:
                       for r in train]).astype(np.float64)
         w = ridge_solve(x, p, 0.0)
         assert np.max(np.abs(x @ w - p)) < 1e-6
+
+
+def _reference_simulate(cfg):
+    """The simulator as first written, kept as a bitwise reference: patch
+    grids image by image, and per record six float64 matrix-vector products
+    and one noise draw per ROI.  Returns (records as (stimulus_id, split,
+    trial_index, voxels)), stimuli, masks, patch grids)."""
+    from shapesem.dataset import (HVC_ROIS, HVC_SHAPE_LEAK, LVC_ROIS,
+                                  REQUIRED_ROIS, _category_intensity,
+                                  _render_template)
+    from shapesem.patches import extract_patch_features
+
+    rng = np.random.default_rng(cfg.seed)
+    s, m, ncat = cfg.image_size, cfg.patch_size, cfg.categories
+    g2 = (s // m) ** 2
+    lvc, hvc_cat, hvc_shape = {}, {}, {}
+    for roi in LVC_ROIS:
+        d = cfg.voxels_per_roi[roi]
+        lvc[roi] = (rng.standard_normal((d, g2)) / np.sqrt(g2)).astype(np.float32)
+    for roi in HVC_ROIS:
+        d = cfg.voxels_per_roi[roi]
+        hvc_cat[roi] = rng.standard_normal((d, ncat)).astype(np.float32)
+        hvc_shape[roi] = (rng.standard_normal((d, g2)) / np.sqrt(g2)).astype(np.float32)
+    intensities = _category_intensity(ncat)
+    stimuli, masks, grids, cats = {}, {}, {}, {}
+    for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
+        for i in range(count):
+            sid = "%s_%04d" % (split, i)
+            cats[sid] = i % ncat
+            masks[sid] = _render_template(i % ncat, s, rng, cfg.identical_shapes)
+            stimuli[sid] = (masks[sid] * intensities[i % ncat]).astype(np.float32)
+            grids[sid] = extract_patch_features(masks[sid], m)
+
+    def encode(sid):
+        p = grids[sid].reshape(-1).astype(np.float64)
+        onehot = np.zeros(ncat)
+        onehot[cats[sid]] = 1.0
+        parts = []
+        for roi in REQUIRED_ROIS:
+            if roi in LVC_ROIS:
+                mean = lvc[roi].astype(np.float64) @ p
+            else:
+                mean = (hvc_cat[roi].astype(np.float64) @ onehot
+                        + HVC_SHAPE_LEAK * (hvc_shape[roi].astype(np.float64) @ p))
+            noise = (cfg.noise_sigma * rng.standard_normal(cfg.voxels_per_roi[roi])
+                     if cfg.noise_sigma > 0 else 0.0)
+            parts.append(mean + noise)
+        return np.concatenate(parts).astype(np.float32)
+
+    records = [(sid, split, t, encode(sid))
+               for split, count, trials in (("train", cfg.n_train, cfg.train_trials),
+                                            ("test", cfg.n_test, cfg.test_trials))
+               for sid in ("%s_%04d" % (split, i) for i in range(count))
+               for t in range(trials)]
+    return records, stimuli, masks, grids
+
+
+@pytest.mark.parametrize("cfg", [
+    SyntheticConfig(n_train=12, n_test=4, noise_sigma=0.0, seed=5),
+    SyntheticConfig(n_train=10, n_test=3, train_trials=2, seed=6),
+    SyntheticConfig(categories=30, n_train=60, n_test=30, seed=7),
+    SyntheticConfig(image_size=64, patch_size=4, categories=3, n_train=9,
+                    n_test=3, identical_shapes=True, seed=8,
+                    voxels_per_roi={"V1": 70, "V2": 60, "V3": 50, "LOC": 40,
+                                    "FFA": 30, "PPA": 20}),
+], ids=["noiseless", "train_trials_2", "30_categories", "s64_m4"])
+def test_simulate_matches_reference_bitwise(cfg):
+    """The batched simulator writes the voxels, stimuli, masks and patch
+    grids of the per-record reference loop, byte for byte."""
+    ds, truth = simulate(cfg)
+    records, stimuli, masks, grids = _reference_simulate(cfg)
+    assert len(ds.records) == len(records)
+    for rec, (sid, split, t, voxels) in zip(ds.records, records):
+        assert (rec.stimulus_id, rec.split, rec.trial_index) == (sid, split, t)
+        assert rec.voxels.tobytes() == voxels.tobytes()
+    for ours, ref in ((ds.stimuli, stimuli), (ds.masks, masks),
+                      (truth.patch_grids, grids)):
+        assert list(ours) == list(ref)
+        assert all(ours[k].dtype == ref[k].dtype
+                   and ours[k].tobytes() == ref[k].tobytes() for k in ref)

@@ -5,20 +5,21 @@ import pytest
 
 from shapesem.dataset import SyntheticConfig, read_pgm, simulate
 from shapesem.errors import DataError, DimensionError
-from shapesem.evaluation import (EvalReport, SsimParams, pairwise_win_rate,
+from shapesem.evaluation import (EvalReport, pairwise_win_rate,
                                  reconstruct_records, report_rows, roi_ablation,
                                  run_pipeline, ssim, write_montage,
                                  write_report_csv, _gaussian_window)
 from shapesem.gan import GanTrainConfig, build_generator
 
 
-def brute_force_ssim(a, b, params=None):
-    """Window-by-window reference implementation with explicit loops."""
-    params = params or SsimParams()
-    w = params.window_size
-    win = _gaussian_window(w, params.sigma)
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+def brute_force_ssim(a, b):
+    """Window-by-window reference implementation with explicit loops, with
+    the published constants of Wang et al. 2004: an 11 x 11 Gaussian window
+    of sigma 1.5, K1 = 0.01, K2 = 0.03, dynamic range 1."""
+    w = 11
+    win = _gaussian_window(w, 1.5)
+    c1 = (0.01 * 1.0) ** 2
+    c2 = (0.03 * 1.0) ** 2
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     vals = []

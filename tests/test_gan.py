@@ -237,7 +237,7 @@ def _reference_train(generator, discriminator, pairs, config):
     """The training loop as first written, kept as a bitwise reference: two
     generator forwards per batch, the discriminator's weight gradients
     computed and thrown away, and Adam with fresh temporaries."""
-    from tests.test_tensor import _allocating_adam_update
+    from test_tensor import _allocating_adam_update
     from shapesem.optim import AdamState
 
     class AllocatingAdam:
@@ -334,20 +334,22 @@ class TestAugmentation:
                     1: np.array([-0.1, 0.3], dtype=np.float32)}
         img = np.zeros((16, 16), dtype=np.float32)
         img[4:12, 4:12] = 0.9
-        pairs, rejected = make_augmented_pairs([(img, 0), (img, 1), (img, 7)],
-                                               averages, m=8)
-        assert len(pairs) == 2 and rejected == 1
-        assert np.allclose(pairs[0].semantics, averages[0])
-        assert pairs[0].shape.shape == (16, 16)
-        assert pairs[0].shape.min() >= 0.0 and pairs[0].shape.max() <= 1.0
+        pairs = make_augmented_pairs([(img, 0), (img, 1), (img, 7)],
+                                     averages, m=8)
+        assert len(pairs) == 2
+        shape, semantics, image = pairs[0]
+        assert np.allclose(semantics, averages[0])
+        assert np.array_equal(image, img)
+        assert shape.shape == (16, 16)
+        assert shape.min() >= 0.0 and shape.max() <= 1.0
 
     def test_count_grows_exactly(self):
         averages = {0: np.zeros(2, dtype=np.float32)}
         img = np.zeros((16, 16), dtype=np.float32)
         img[2:10, 2:10] = 1.0
         items = [(img, 0)] * 100
-        pairs, rejected = make_augmented_pairs(items, averages, m=8)
-        assert len(pairs) == 100 and rejected == 0
+        pairs = make_augmented_pairs(items, averages, m=8)
+        assert len(pairs) == 100
 
 
 class TestCheckpoint:
@@ -387,7 +389,7 @@ def test_gradient_flow_single_level_generator():
 
     loss = forward()
     loss.backward()
-    from tests.test_tensor import _numeric_grad
+    from test_tensor import _numeric_grad
 
     for p in (k_enc, k_dec):
         fd = _numeric_grad(lambda: float(forward().data), p.data)

@@ -28,13 +28,20 @@ class TestPatchFeatures:
     def test_indivisible_patch_size(self):
         with pytest.raises(ConfigError):
             extract_patch_features(np.zeros((10, 10)), 3)
+        with pytest.raises(ConfigError):
+            extract_patch_features(np.zeros((2, 16, 8)), 8)
 
     def test_projection_property(self):
+        """On a (..., S, S) stack too, where each grid is byte for byte the
+        grid of its image alone."""
         rng = np.random.default_rng(0)
-        img = rng.random((32, 32))
-        grid = extract_patch_features(img, 8)
-        again = extract_patch_features(upsample_nearest(grid, 8), 8)
-        assert np.allclose(grid, again, atol=1e-6)
+        stack = rng.random((2, 3, 32, 32))
+        grids = extract_patch_features(stack, 8)
+        assert grids.shape == (2, 3, 4, 4)
+        for img, grid in zip(stack.reshape(-1, 32, 32), grids.reshape(-1, 4, 4)):
+            assert extract_patch_features(img, 8).tobytes() == grid.tobytes()
+        again = extract_patch_features(upsample_nearest(grids, 8), 8)
+        assert np.allclose(grids, again, atol=1e-6)
 
 
 def projected(mask, m=8):
@@ -53,7 +60,7 @@ class TestBaseDecoders:
 
     def test_identity_encoder_recovers_identity(self):
         # voxels == patch vector directly; with lam=0 the map is identity
-        from tests.test_dataset import tiny_layout
+        from test_dataset import tiny_layout
 
         rng = np.random.default_rng(1)
         layout = tiny_layout(4)  # 24 voxels total; V1 = first 4
