@@ -8,7 +8,7 @@ LVC voxels stays near chance: shape alone under-determines category.
 import numpy as np
 
 from shapesem.dataset import SyntheticConfig, simulate
-from shapesem.semantic import (accuracy, classify, semantic_features,
+from shapesem.semantic import (accuracy, classify_batch, semantic_features,
                                train_semantic)
 
 ds, _ = simulate(SyntheticConfig(image_size=32, categories=8, n_train=160,
@@ -24,7 +24,7 @@ for roi_set in ("HVC", "LVC"):
 net = train_semantic(ds, roi_set="HVC", seed=0)
 rec = test[0]
 print("\nexample record: true category %d, predicted %d"
-      % (rec.category_id, classify(net, rec, ds.layout)))
+      % (rec.category_id, classify_batch(net, [rec], ds.layout)[0]))
 
 # penultimate-layer features are what conditions the GAN; same-category
 # records should sit closer together than cross-category ones

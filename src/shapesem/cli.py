@@ -22,12 +22,12 @@ import typing
 from .dataset import (Dataset, SyntheticConfig, average_test_trials,
                       load_dataset, save_dataset, simulate, write_pgm)
 from .errors import NumericalError, ShapesemError
-from .evaluation import (decode_records, pairwise_win_rate, projected_masks,
-                         reconstruct_records, report_rows, roi_ablation,
-                         run_pipeline, training_pairs, write_montage,
+from .evaluation import (decode_records, fit_gan, pairwise_win_rate,
+                         projected_masks, reconstruct_records, report_rows,
+                         roi_ablation, run_pipeline, write_montage,
                          write_report_csv)
-from .gan import (GanTrainConfig, build_discriminator, build_generator,
-                  load_checkpoint, save_checkpoint, train, write_loss_log)
+from .gan import (GanTrainConfig, load_checkpoint, save_checkpoint,
+                  write_loss_log)
 from .semantic import (SemanticNetConfig, accuracy, load_semantic_net,
                        save_semantic_net, train_semantic)
 from .shape_decoder import (DEFAULT_LAMBDA, fit_shape_decoder,
@@ -87,7 +87,7 @@ KNOWN_KEYS = {
     "out": (str, None),
     "seed": (int, 0),
     "runs": (int, 5),
-    "mode": (_one_of("full", "no_semantics", "no_augmentation"), "full"),
+    "mode": (_one_of("full", "no_semantics"), "full"),
     "metric": (_one_of("recon", "shape"), "recon"),
     "shape_lambda": (float, DEFAULT_LAMBDA),
     **_field_keys(),
@@ -152,12 +152,13 @@ def _require_out(cfg):
 
 
 def _load_ds(cfg) -> Dataset:
+    """The dataset with its repeated test trials averaged."""
     if not cfg["dataset"]:
         raise CliError("a dataset directory is required (--dataset)")
     if not os.path.exists(os.path.join(cfg["dataset"], "manifest.json")):
         raise CliError("missing artifact: %s"
                        % os.path.join(cfg["dataset"], "manifest.json"))
-    return load_dataset(cfg["dataset"])
+    return average_test_trials(load_dataset(cfg["dataset"]))
 
 
 def _artifact(cfg, name, required=False):
@@ -227,17 +228,16 @@ def cmd_simulate(cfg):
 def cmd_preprocess(cfg):
     ds = _load_ds(cfg)
     out = _require_out(cfg)
-    save_dataset(average_test_trials(ds), out)
+    save_dataset(ds, out)
     write_manifest(out, "preprocess", cfg, _dataset_files(out))
     print("preprocess: averaged test trials into %s" % out)
     return 0
 
 
 def cmd_train_shape(cfg):
-    ds = average_test_trials(_load_ds(cfg))
+    ds = _load_ds(cfg)
     out = _require_out(cfg)
-    dec = fit_shape_decoder(ds, ("V1", "V2", "V3"), cfg["shape_lambda"],
-                            cfg["patch_size"])
+    dec = fit_shape_decoder(ds, lam=cfg["shape_lambda"], m=cfg["patch_size"])
     path = _artifact(cfg, "shape_decoder.shd")
     save_shape_decoder(dec, path)
     write_manifest(out, "train-shape", cfg, [path])
@@ -246,7 +246,7 @@ def cmd_train_shape(cfg):
 
 
 def cmd_train_semantic(cfg):
-    ds = average_test_trials(_load_ds(cfg))
+    ds = _load_ds(cfg)
     out = _require_out(cfg)
     net = train_semantic(ds, _sem_config(cfg, ds), roi_set="HVC",
                          seed=cfg["seed"])
@@ -259,19 +259,15 @@ def cmd_train_semantic(cfg):
 
 
 def cmd_train_gan(cfg):
-    ds = average_test_trials(_load_ds(cfg))
+    ds = _load_ds(cfg)
     out = _require_out(cfg)
     dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
     sem_net = None
     if cfg["mode"] != "no_semantics":
         sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
                                               required=True))
-    gan_cfg = _config(cfg, GanTrainConfig, resolution=ds.image_size,
-                      semantic_dim=sem_net.config.hidden2 if sem_net else 0)
-    pairs = training_pairs(ds, dec, sem_net, ds.split_records("train"))
-    gen = build_generator(gan_cfg)
-    disc = build_discriminator(gan_cfg)
-    log = train(gen, disc, pairs, gan_cfg)
+    gen, disc, log = fit_gan(ds, dec, sem_net, _config(
+        cfg, GanTrainConfig, resolution=ds.image_size))
     ckpt = _artifact(cfg, "gan.ckpt")
     save_checkpoint(ckpt, gen, disc)
     loss_csv = _artifact(cfg, "gan_loss.csv")
@@ -283,21 +279,25 @@ def cmd_train_gan(cfg):
 
 
 def _reconstruct_all(cfg, ds):
-    """(decoded shapes, reconstructions) of the test records, and the
-    generator's config."""
+    """(decoded shapes, reconstructions) of the test records, and the report
+    label of the checkpoint's model, which the mode key may not contradict."""
     dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
-    gen, _, gan_cfg = load_checkpoint(_artifact(cfg, "gan.ckpt", required=True))
+    ckpt = _artifact(cfg, "gan.ckpt", required=True)
+    gen, _, gan_cfg = load_checkpoint(ckpt)
     sem_net = None
     if gan_cfg.semantic_dim > 0:
+        if cfg["mode"] == "no_semantics":
+            raise CliError("mode=no_semantics, but %s is conditioned on "
+                           "semantics" % ckpt)
         sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
                                               required=True))
     shapes, recons = reconstruct_records(gen, dec, sem_net,
                                          ds.split_records("test"), ds.layout)
-    return shapes, recons, gan_cfg
+    return shapes, recons, cfg["mode"] if sem_net else "no_semantics"
 
 
 def cmd_reconstruct(cfg):
-    ds = average_test_trials(_load_ds(cfg))
+    ds = _load_ds(cfg)
     out = _require_out(cfg)
     shapes, recons, _ = _reconstruct_all(cfg, ds)
     test = ds.split_records("test")
@@ -317,7 +317,7 @@ def cmd_reconstruct(cfg):
 
 
 def cmd_evaluate(cfg):
-    ds = average_test_trials(_load_ds(cfg))
+    ds = _load_ds(cfg)
     out = _require_out(cfg)
     test = ds.split_records("test")
     if cfg["metric"] == "shape":
@@ -327,14 +327,8 @@ def cmd_evaluate(cfg):
         gts = projected_masks(ds, test, dec.patch_size)
         label = "shape"
     else:
-        _, preds, gan_cfg = _reconstruct_all(cfg, ds)
+        _, preds, label = _reconstruct_all(cfg, ds)
         gts = [ds.stimuli[r.stimulus_id] for r in test]
-        # the label names the checkpoint's model, not just the mode key
-        conditioned = gan_cfg.semantic_dim > 0
-        if conditioned and cfg["mode"] == "no_semantics":
-            raise CliError("mode=no_semantics, but %s is conditioned on "
-                           "semantics" % _artifact(cfg, "gan.ckpt"))
-        label = cfg["mode"] if conditioned else "no_semantics"
     report = pairwise_win_rate(preds, gts, runs=cfg["runs"], seed=cfg["seed"])
     path = _artifact(cfg, "report_%s.csv" % cfg["metric"])
     write_report_csv(path, report_rows(report, label))
@@ -364,8 +358,7 @@ def cmd_ablate(cfg, which):
         summary = ", ".join("%s=%.3f" % (r["roi_set"], r["shape_win_rate"])
                             for r in table)
     else:
-        drop_mode = {"semantics": "no_semantics",
-                     "augmentation": "no_augmentation"}[which]
+        drop_label = "no_" + which
         gan_cfg = _config(cfg, GanTrainConfig, resolution=ds.image_size)
         aug = None
         if which == "augmentation":
@@ -373,14 +366,15 @@ def cmd_ablate(cfg, which):
             aug = [(ds.stimuli[r.stimulus_id], r.category_id)
                    for r in ds.split_records("train")]
         common = dict(shape_lambda=cfg["shape_lambda"],
-                      patch_size=cfg["patch_size"], augment_images=aug,
-                      runs=cfg["runs"], semantic_config=_sem_config(cfg, ds))
-        full = run_pipeline(ds, gan_cfg, mode="full", **common)
-        drop = run_pipeline(ds, gan_cfg, mode=drop_mode, **common)
+                      patch_size=cfg["patch_size"], runs=cfg["runs"],
+                      semantic_config=_sem_config(cfg, ds))
+        full = run_pipeline(ds, gan_cfg, "full", augment_images=aug, **common)
+        drop = run_pipeline(ds, gan_cfg, "no_semantics" if which == "semantics"
+                            else "full", **common)
         rows = report_rows(full.report, "full") + report_rows(drop.report,
-                                                              drop_mode)
+                                                              drop_label)
         write_report_csv(path, rows)
-        summary = "full=%.3f %s=%.3f" % (full.report.mean_win_rate, drop_mode,
+        summary = "full=%.3f %s=%.3f" % (full.report.mean_win_rate, drop_label,
                                          drop.report.mean_win_rate)
     write_manifest(out, "ablate-%s" % which, cfg, [path])
     print("ablate[%s]: %s -> %s" % (which, summary, path))

@@ -137,13 +137,28 @@ def decode_records(shape_dec, sem_net, records, layout):
     return shapes, semantic_features_batch(sem_net, records, layout)
 
 
-def training_pairs(ds: Dataset, shape_dec, sem_net, records):
-    """GAN training pairs (decoded shape, semantics or None, stimulus)."""
+def fit_gan(ds: Dataset, shape_dec, sem_net, gan_config: GanTrainConfig,
+            augment_images=None):
+    """Train the GAN on (decoded shape, semantics, stimulus) pairs of the
+    training records, plus one pair per augmentation image (image,
+    category_id) of a category that has training records, its shape taken
+    at the shape decoder's patch size.  The GAN's ``semantic_dim`` is the semantic net's
+    ``hidden2``, or 0 without a net, whatever ``gan_config`` says.  Returns
+    (generator, discriminator, loss log)."""
+    gan_config = replace(gan_config,
+                         semantic_dim=sem_net.config.hidden2 if sem_net else 0)
+    records = ds.split_records("train")
     shapes, sems = decode_records(shape_dec, sem_net, records, ds.layout)
-    if sems is None:
-        sems = [None] * len(records)
-    return [(sp, sm, ds.stimuli[r.stimulus_id])
-            for sp, sm, r in zip(shapes, sems, records)]
+    pairs = list(zip(shapes, [None] * len(records) if sems is None else sems,
+                     [ds.stimuli[r.stimulus_id] for r in records]))
+    if augment_images:
+        labels = [r.category_id for r in records]
+        averages = (dict.fromkeys(labels) if sems is None
+                    else category_average(sems, labels))
+        pairs.extend(make_augmented_pairs(augment_images, averages,
+                                          shape_dec.patch_size))
+    gen, disc = build_generator(gan_config), build_discriminator(gan_config)
+    return gen, disc, train(gen, disc, pairs, gan_config)
 
 
 def reconstruct_records(generator, shape_dec, sem_net, records, layout):
@@ -218,40 +233,19 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
                  augment_images=None, runs: int = 5) -> PipelineResult:
     """Train all stages on one dataset and evaluate on the averaged test set.
 
-    ``mode``: full | no_semantics | no_augmentation.  ``augment_images`` is a
-    list of (image, category_id) used for GAN data augmentation.  The GAN's
-    ``semantic_dim`` is set to the semantic net's ``hidden2``, or 0 in
-    no_semantics mode, whatever ``gan_config`` says.
+    ``mode``: full | no_semantics.  ``augment_images`` is a list of (image,
+    category_id) used for GAN data augmentation; without it the GAN trains
+    on the voxel records alone.
     """
-    if mode not in ("full", "no_semantics", "no_augmentation"):
+    if mode not in ("full", "no_semantics"):
         raise DataError("unknown mode %r" % mode)
     ds = average_test_trials(ds)
-    train_recs = ds.split_records("train")
     test_recs = ds.split_records("test")
-
-    shape_dec = fit_shape_decoder(ds, ("V1", "V2", "V3"), shape_lambda, patch_size)
-
-    sem_net = None
-    if mode != "no_semantics":
-        sem_net = train_semantic(ds, semantic_config, roi_set="HVC",
-                                 seed=gan_config.seed)
-    gan_config = replace(gan_config,
-                         semantic_dim=sem_net.config.hidden2 if sem_net else 0)
-
-    pairs = training_pairs(ds, shape_dec, sem_net, train_recs)
-
-    if augment_images and mode != "no_augmentation":
-        # images of categories without training records are skipped
-        labels = [r.category_id for r in train_recs]
-        if sem_net is not None:
-            averages = category_average([p[1] for p in pairs], labels)
-        else:
-            averages = dict.fromkeys(labels)
-        pairs.extend(make_augmented_pairs(augment_images, averages, patch_size))
-
-    gen = build_generator(gan_config)
-    disc = build_discriminator(gan_config)
-    loss_log = train(gen, disc, pairs, gan_config)
+    shape_dec = fit_shape_decoder(ds, lam=shape_lambda, m=patch_size)
+    sem_net = train_semantic(ds, semantic_config, roi_set="HVC",
+                             seed=gan_config.seed) if mode == "full" else None
+    gen, disc, loss_log = fit_gan(ds, shape_dec, sem_net, gan_config,
+                                  augment_images)
 
     _, recons = reconstruct_records(gen, shape_dec, sem_net, test_recs, ds.layout)
     gts = [ds.stimuli[r.stimulus_id] for r in test_recs]

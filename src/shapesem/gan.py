@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .dataset import binarize_mask
 from .errors import ConfigError, DataError, DimensionError, NumericalError
-from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish
+from .nn import MAX_PARAMETERS, BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish
 from .optim import Adam
 from .patches import extract_patch_features, upsample_nearest
 from .serial import check_shapes, open_artifact, save_artifact
@@ -61,6 +61,30 @@ class GanTrainConfig:
                               % self.base_channels)
         if self.semantic_dim < 0:
             raise ConfigError("semantic_dim must be >= 0")
+        n = self.parameter_count()
+        if n > MAX_PARAMETERS:
+            raise ConfigError("resolution %d, base_channels %d and "
+                              "semantic_dim %d give %d parameters, above the "
+                              "budget of %d"
+                              % (self.resolution, self.base_channels,
+                                 self.semantic_dim, n, MAX_PARAMETERS))
+
+    def parameter_count(self) -> int:
+        """Parameters of the generator and discriminator, counted without
+        building them: a 4x4 kernel and a bias per conv, a scale and a shift
+        per batch-norm channel."""
+        def conv(c_in, c_out):
+            return 16 * c_in * c_out + c_out
+
+        b = self.base_channels
+        ch = _channel_schedule(b, self.resolution.bit_length() - 1)
+        up = ch[-2::-1]  # decoder outputs but the last; each takes a skip
+        encoder = sum(map(conv, [1] + ch[:-1], ch)) + 2 * sum(ch[1:-1])
+        decoder = sum(map(conv, [ch[-1] + self.semantic_dim]
+                          + [2 * c for c in up], up + [1])) + 2 * sum(up)
+        disc = (sum(map(conv, (2, b, 2 * b, 4 * b), (b, 2 * b, 4 * b, 1)))
+                + 2 * (2 * b + 4 * b))
+        return encoder + decoder + disc
 
 
 def _channel_schedule(base: int, depth: int):

@@ -11,6 +11,10 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+# the most float32 parameters a network config may ask for (1 GiB); configs
+# count theirs before anything is allocated
+MAX_PARAMETERS = 2 ** 28
+
 
 class Layer:
     def parameters(self):

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .dataset import Dataset, TrialRecord
 from .errors import ConfigError, DataError
-from .nn import Linear
+from .nn import MAX_PARAMETERS, Linear
 from .optim import Adam
 from .serial import check_shapes, open_artifact, save_artifact
 from .tensor import Tensor
@@ -47,6 +47,19 @@ class SemanticNetConfig:
             raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
         if not 0 < self.lr < np.inf:
             raise ConfigError("lr must be finite and > 0, got %r" % self.lr)
+        n = self.parameter_count()
+        if n > MAX_PARAMETERS:
+            raise ConfigError("in_dim %d, hidden1 %d, hidden2 %d and "
+                              "n_classes %d give %d parameters, above the "
+                              "budget of %d"
+                              % (self.in_dim, self.hidden1, self.hidden2,
+                                 self.n_classes, n, MAX_PARAMETERS))
+
+    def parameter_count(self) -> int:
+        """Parameters of the three linear layers, counted without building
+        them."""
+        dims = (self.in_dim, self.hidden1, self.hidden2, self.n_classes)
+        return sum(a * b + b for a, b in zip(dims, dims[1:]))
 
 
 class SemanticNet:
@@ -130,10 +143,6 @@ def semantic_features(net: SemanticNet, record: TrialRecord, layout) -> np.ndarr
 def classify_batch(net: SemanticNet, records, layout) -> np.ndarray:
     """Argmax over sigmoid output scores; ties break to the lowest index."""
     return np.argmax(net.scores(_inputs(net, records, layout)).data, axis=1)
-
-
-def classify(net: SemanticNet, record: TrialRecord, layout) -> int:
-    return int(classify_batch(net, [record], layout)[0])
 
 
 def accuracy(net: SemanticNet, ds: Dataset, records) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, TrialRecord
+from .dataset import LVC_ROIS, Dataset, TrialRecord
 from .errors import ConfigError, DataError
 from .linalg import ridge_solve
 from .patches import extract_patch_features, upsample_nearest
@@ -93,11 +93,6 @@ def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
     return out
 
 
-def predict_base(decoder: BaseShapeDecoder, record: TrialRecord,
-                 layout) -> np.ndarray:
-    return decoder.predict(layout.matrix([record], decoder.roi))[0]
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     u = np.sort(v)[::-1]
@@ -133,7 +128,7 @@ def fit_combiner(base_predictions: dict, targets: np.ndarray,
     return ShapeCombiner(rois, weights)
 
 
-def fit_shape_decoder(ds: Dataset, rois=("V1", "V2", "V3"),
+def fit_shape_decoder(ds: Dataset, rois=LVC_ROIS,
                       lam: float = DEFAULT_LAMBDA, m: int = 8,
                       convex: bool = False) -> ShapeDecoder:
     decoders = fit_base_decoders(ds, rois, lam, m)

@@ -452,6 +452,7 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("evaluate", "runs=0", "runs"),
     ("evaluate", "runs=-1", "runs"),
     ("train-gan", "mode=nosemantics", "mode"),
+    ("evaluate", "mode=no_augmentation", "mode"),
     ("train-semantic", "sem_hidden1=0", "hidden1"),
     ("train-semantic", "sem_epochs=0", "epochs"),
     ("train-gan", "gan_base_channels=0", "base_channels"),
@@ -470,6 +471,8 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("train-semantic", "sem_lr=-1", "lr"),
     ("train-semantic", "sem_lr=nan", "lr"),
     ("train-semantic", "sem_lr=inf", "lr"),
+    ("train-gan", "gan_base_channels=%d" % 10 ** 15, "base_channels"),
+    ("train-semantic", "sem_hidden1=%d" % 10 ** 15, "hidden1"),
 ])
 def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name):
     """A value out of its range exits 1 naming the key or field, instead of
@@ -504,20 +507,24 @@ def test_recon_report_labels_unconditioned_checkpoint(tiny_model, tmp_path):
     assert _recon_labels(out) == {"no_semantics"}
 
 
+@pytest.mark.parametrize("cmd", ["reconstruct", "evaluate"])
 def test_recon_report_refuses_mode_the_checkpoint_is_not(tiny_model, tmp_path,
-                                                         capsys):
+                                                         capsys, cmd):
     """mode=no_semantics against a conditioned gan.ckpt exits 1 naming the
-    key and the file, instead of a report labelled with the wrong model."""
+    key and the file, and writes nothing: no images, report or manifest
+    that record the wrong model."""
     ds, art = tiny_model
     out = tmp_path / "art"
     shutil.copytree(art, out)
-    assert run_cli("evaluate", "--dataset", ds, "--out", str(out), "--metric",
-                   "recon", "--seed", "0", "--set", "mode=no_semantics") == 1
+    before = sorted(os.listdir(out))
+    argv = [cmd, "--dataset", ds, "--out", str(out), "--seed", "0"]
+    assert run_cli(*argv, "--set", "mode=no_semantics") == 1
     err = capsys.readouterr().err
     assert "mode" in err and str(out / "gan.ckpt") in err
-    assert not (out / "report_recon.csv").exists()
-    assert _evaluate_recon(ds, out) == 0
-    assert _recon_labels(out) == {"full"}
+    assert sorted(os.listdir(out)) == before
+    assert run_cli(*argv) == 0
+    if cmd == "evaluate":
+        assert _recon_labels(out) == {"full"}
 
 
 def test_shape_evaluate_uses_decoder_patch_size(noiseless_run, tmp_path):
@@ -555,6 +562,34 @@ def test_ablate_honours_semantic_keys(tiny_model, tmp_path, monkeypatch):
         assert (sem.hidden1, sem.hidden2, sem.epochs, sem.seed) == (16, 8, 2, 3)
 
 
+def test_ablate_augmentation_drops_only_the_images(tiny_model, tmp_path,
+                                                   monkeypatch):
+    """no_augmentation is the full pipeline run without the augmentation
+    images, not a mode of its own."""
+    import shapesem.cli as cli
+    from shapesem.dataset import load_dataset
+    from shapesem.evaluation import EvalReport
+
+    ds, _ = tiny_model
+    calls = []
+
+    def spy(ds, gan_config, mode, **kwargs):
+        calls.append((mode, kwargs.get("augment_images")))
+        return SimpleNamespace(report=EvalReport([0.5], [0.5], 0.5, 1, 0))
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    art = tmp_path / "art"
+    assert run_cli("ablate", "augmentation", "--seed", "0", "--dataset", ds,
+                   "--out", str(art), *TINY_MODELS) == 0
+    (full_mode, aug), (drop_mode, no_aug) = calls
+    assert (full_mode, drop_mode, no_aug) == ("full", "full", None)
+    train = load_dataset(ds).split_records("train")
+    assert [label for _, label in aug] == [r.category_id for r in train]
+    with open(art / "ablation_augmentation.csv", newline="") as fh:
+        labels = {row[1] for row in csv.reader(fh) if row[0] == "mean_win_rate"}
+    assert labels == {"full", "no_augmentation"}
+
+
 def test_ablate_augmentation_with_small_semantic_net(tiny_model, tmp_path):
     """The GAN's conditioning width follows sem_hidden2 in ablate too."""
     ds, _ = tiny_model
@@ -577,6 +612,27 @@ def test_pgm_trailing_bytes_names_file(tiny_model, tmp_path, capsys):
     assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
                    "--out", str(tmp_path / "art")) == 1
     assert victim.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field", [("gan.ckpt", "base_channels"),
+                                         ("semantic_net.sem", "hidden1"),
+                                         ("semantic_net.sem", "in_dim")])
+def test_oversized_network_header_names_file(tiny_model, tmp_path, capsys,
+                                             name, field):
+    """An artifact header asking for a network above the parameter budget
+    exits 1 naming the file, before any tensor of that network exists."""
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    magic = (out / name).read_bytes()[:4]
+    with open_artifact(out / name, magic) as (header, arrays):
+        pass
+    save_artifact(out / name, magic, dict(header, **{field: 10 ** 15}), arrays)
+    assert _evaluate_recon(ds, out) == 1
+    err = capsys.readouterr().err
+    assert name in err and field in err
 
 
 def test_checkpoint_naming_disc_mode_names_file(tiny_model, tmp_path, capsys):

@@ -250,8 +250,40 @@ class TestPipeline:
         assert res.generator.config.semantic_dim == 0
 
     def test_unknown_mode_rejected(self, small_pipeline_ds):
-        with pytest.raises(DataError):
-            run_pipeline(small_pipeline_ds, SMALL_GAN, mode="bogus")
+        # dropping augmentation is passing no augment_images, not a mode
+        for mode in ("bogus", "no_augmentation"):
+            with pytest.raises(DataError):
+                run_pipeline(small_pipeline_ds, SMALL_GAN, mode=mode)
+
+    def test_no_semantics_augmentation_pairs(self, small_pipeline_ds,
+                                             monkeypatch):
+        """Without semantics, the GAN trains on the training records plus
+        one pair per augmentation image of a category that has training
+        records, all with no semantics."""
+        import shapesem.evaluation as evaluation
+
+        ds = small_pipeline_ds
+        train_recs = ds.split_records("train")
+        aug = [(ds.stimuli[r.stimulus_id], r.category_id) for r in train_recs[:5]]
+        aug.append((aug[0][0], 99))  # a category without training records
+        seen = []
+        real = evaluation.train
+
+        def spy(gen, disc, pairs, config):
+            seen.append(pairs)
+            return real(gen, disc, pairs, config)
+
+        monkeypatch.setattr(evaluation, "train", spy)
+        run_pipeline(ds, SMALL_GAN, mode="no_semantics", augment_images=aug,
+                     runs=2)
+        (pairs,) = seen
+        n = len(train_recs)
+        assert len(pairs) == n + 5
+        assert all(sem is None for _, sem, _ in pairs)
+        images = [ds.stimuli[r.stimulus_id] for r in train_recs] + [
+            img for img, _ in aug[:5]]
+        for (_, _, img), want in zip(pairs, images):
+            assert np.array_equal(img, want)
 
 
 class TestBatchedStages:
@@ -304,10 +336,11 @@ class TestBatchedStages:
         assert np.max(np.abs(recons - single)) <= 1e-6
 
     def test_accuracy_is_mean_of_classify(self, models):
-        from shapesem.semantic import accuracy, classify
+        from shapesem.semantic import accuracy, classify_batch
 
         ds, records, _, net, _ = models
-        hits = [classify(net, r, ds.layout) == r.category_id for r in records]
+        hits = [classify_batch(net, [r], ds.layout)[0] == r.category_id
+                for r in records]
         assert accuracy(net, ds, records) == np.mean(hits)
 
 

@@ -37,6 +37,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GanTrainConfig(resolution=48)
 
+    @pytest.mark.parametrize("resolution, base, sem_dim",
+                             [(16, 1, 0), (16, 3, 5), (32, 2, 4), (32, 16, 64),
+                              (64, 5, 0), (128, 2, 7)])
+    def test_parameter_count_matches_built_nets(self, resolution, base, sem_dim):
+        cfg = GanTrainConfig(resolution=resolution, base_channels=base,
+                             semantic_dim=sem_dim)
+        nets = (build_generator(cfg), build_discriminator(cfg))
+        assert cfg.parameter_count() == sum(p.data.size for net in nets
+                                            for p in net.parameters())
+
+    def test_parameter_budget(self):
+        """Too wide a network is refused by its config, before any tensor
+        of it exists."""
+        for field, value in [("base_channels", 10 ** 15),
+                             ("semantic_dim", 10 ** 15),
+                             ("resolution", 2 ** 400)]:
+            with pytest.raises(ConfigError, match="%s %d" % (field, value)):
+                GanTrainConfig(**{field: value})
+
     def test_defaults_follow_training_recipe(self):
         cfg = GanTrainConfig()
         assert cfg.lambda_img == 100.0

@@ -3,7 +3,7 @@ import pytest
 
 from shapesem.dataset import Dataset, TrialRecord
 from shapesem.errors import ConfigError, DataError
-from shapesem.semantic import (accuracy, category_average, classify,
+from shapesem.semantic import (accuracy, category_average, classify_batch,
                                load_semantic_net, save_semantic_net,
                                semantic_features, train_semantic)
 
@@ -55,6 +55,30 @@ class TestTraining:
             train_semantic(flat)
 
 
+@pytest.mark.parametrize("dims", [(5, 2, 8, 2), (90, 32, 8, 4), (300, 256, 64, 10)])
+def test_parameter_count_matches_built_net(dims):
+    from shapesem.semantic import SemanticNet, SemanticNetConfig
+
+    in_dim, hidden1, hidden2, n_classes = dims
+    cfg = SemanticNetConfig(in_dim=in_dim, n_classes=n_classes, hidden1=hidden1,
+                            hidden2=hidden2)
+    assert cfg.parameter_count() == sum(p.data.size
+                                        for p in SemanticNet(cfg).parameters())
+
+
+@pytest.mark.parametrize("field", ["in_dim", "hidden1", "hidden2",
+                                   "n_classes"])
+def test_parameter_budget(field):
+    """Too wide a net is refused by its config, before any tensor of it
+    exists, with the oversized field and its value in the message."""
+    from shapesem.semantic import SemanticNetConfig
+
+    dims = dict(in_dim=10, n_classes=2)
+    dims[field] = 10 ** 15
+    with pytest.raises(ConfigError, match="%s %d" % (field, 10 ** 15)):
+        SemanticNetConfig(**dims)
+
+
 class TestFeatures:
     def test_shape_and_range(self, noisy_sim):
         ds, _ = noisy_sim
@@ -90,7 +114,7 @@ class TestClassify:
 
         x = rec.voxels[ds.layout.indices("HVC")]
         scores = net.scores(Tensor(net._normalize(x)[None])).data[0]
-        assert classify(net, rec, ds.layout) == int(np.argmax(scores))
+        assert classify_batch(net, [rec], ds.layout)[0] == int(np.argmax(scores))
         # exact tie breaks to index 0
         assert int(np.argmax(np.zeros(5))) == 0
 
@@ -145,4 +169,5 @@ def test_persistence_roundtrip(noisy_sim, tmp_path):
     rec = ds.split_records("test")[0]
     assert np.allclose(semantic_features(net, rec, ds.layout),
                        semantic_features(back, rec, ds.layout), atol=1e-6)
-    assert classify(net, rec, ds.layout) == classify(back, rec, ds.layout)
+    assert (classify_batch(net, [rec], ds.layout)
+            == classify_batch(back, [rec], ds.layout))

@@ -7,8 +7,7 @@ from shapesem.evaluation import pairwise_win_rate, ssim
 from shapesem.patches import extract_patch_features, upsample_nearest
 from shapesem.shape_decoder import (decode_shape, fit_base_decoders,
                                     fit_combiner, fit_shape_decoder,
-                                    load_shape_decoder, predict_base,
-                                    save_shape_decoder)
+                                    load_shape_decoder, save_shape_decoder)
 
 
 class TestPatchFeatures:
@@ -54,7 +53,7 @@ class TestBaseDecoders:
         decoders = fit_base_decoders(ds, ("V1", "V2", "V3"), lam=0.0)
         for roi, dec in decoders.items():
             for r in ds.split_records("train")[:20]:
-                pred = predict_base(dec, r, ds.layout)
+                pred = dec.predict(ds.layout.matrix([r], roi))[0]
                 target = truth.patch_grids[r.stimulus_id]
                 assert np.max(np.abs(pred - target)) < 1e-4, roi
 
@@ -92,7 +91,7 @@ class TestBaseDecoders:
         dec = fit_base_decoders(ds, ("V1",), lam=1e6)["V1"]
         train = ds.split_records("train")
         mean_p = np.mean([truth.patch_grids[r.stimulus_id] for r in train], axis=0)
-        preds = [predict_base(dec, r, ds.layout) for r in train[:10]]
+        preds = [dec.predict(ds.layout.matrix([r], "V1"))[0] for r in train[:10]]
         for p in preds:
             assert np.max(np.abs(p - mean_p)) < 0.05
 
@@ -107,7 +106,7 @@ class TestBaseDecoders:
         rec = ds.split_records("train")[0]
         zero = TrialRecord(rec.stimulus_id, rec.category_id, "train", 99,
                            np.zeros_like(rec.voxels))
-        pred = predict_base(dec, zero, ds.layout)
+        pred = dec.predict(ds.layout.matrix([zero], "V1"))[0]
         expect = np.clip(dec.bias, 0, 1).reshape(dec.grid, dec.grid)
         assert np.allclose(pred, expect, atol=1e-6)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
@@ -171,11 +170,12 @@ class TestDecodeShape:
 
     def test_combiner_not_worse_than_best_single(self, noisy_sim):
         ds, truth = noisy_sim
-        from shapesem.shape_decoder import _targets, predict_base
+        from shapesem.shape_decoder import _targets
 
         decoders = fit_base_decoders(ds, ("V1", "V2", "V3"))
         train = ds.split_records("train")
-        preds = {roi: np.stack([predict_base(d, r, ds.layout) for r in train])
+        preds = {roi: np.stack([d.predict(ds.layout.matrix([r], roi))[0]
+                                for r in train])
                  for roi, d in decoders.items()}
         g = ds.image_size // 8
         targets = _targets(ds, train, 8).reshape(-1, g, g)
