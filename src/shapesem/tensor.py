@@ -295,31 +295,69 @@ def tmean(a) -> Tensor:
 
 
 # -- convolution --------------------------------------------------------
+# Each conv is plain GEMMs over one im2col matrix (Chellapilla et al. 2006).
+# Both _im2col and _col2im pad into a channels-last (N, H, W, C) buffer, and
+# conv outputs are NCHW views of channels-last memory.
+
+def _check_stride_pad(stride, pad):
+    if stride < 1 or pad < 0:
+        raise DimensionError("stride must be >= 1 and pad >= 0, got %d and %d"
+                             % (stride, pad))
+
 
 def _check_conv_geom(h, w, kh, kw, stride, pad):
+    """Refuse a geometry the windows do not tile; returns (Ho, Wo)."""
+    _check_stride_pad(stride, pad)
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise DimensionError("input smaller than kernel after padding")
     if (h + 2 * pad - kh) % stride or (w + 2 * pad - kw) % stride:
         raise DimensionError("padded size minus kernel not divisible by stride")
+    return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """Strided windows of the zero-padded input: (N, C, Ho, Wo, kh, kw)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return v[:, :, ::stride, ::stride, :, :]
+    """Windows of the zero-padded (N,C,H,W) input as one C-ordered
+    (N*Ho*Wo, C*kh*kw) matrix: rows in (n, y, x), columns in (c, i, j) order."""
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float32)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, ho, wo, c, kh, kw),
+        (sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+    return win.reshape(n * ho * wo, c * kh * kw)
 
 
-def _col2im(gcols, out_shape, stride, pad):
-    """Adjoint of _im2col: scatter-add windows back onto a (N,C,H,W) canvas."""
-    n, c, ho, wo, kh, kw = gcols.shape
-    _, _, h, w = out_shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+def _col2im(kernels, g_rows, out_shape, stride, pad):
+    """Adjoint of _im2col applied to ``g_rows @ kernels``: ``g_rows`` is the
+    (N*Ho*Wo, O) matrix and ``kernels`` (O, C, kh, kw).  The one GEMM gives
+    the window gradients in _im2col's layout, and each tap's (N, Ho, Wo, C)
+    slab is added onto a zeroed, padded canvas.  Returns an (N, C, H, W)
+    view.  The kernels are never copied: at batch 1 their copy cost more
+    than the GEMM."""
+    o, c, kh, kw = kernels.shape
+    n, _, h, w = out_shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    gcols = (g_rows @ kernels.reshape(o, -1)).reshape(n, ho, wo, c, kh, kw)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + (ho - 1) * stride + 1 : stride,
-               j : j + (wo - 1) * stride + 1 : stride] += gcols[:, :, :, :, i, j]
-    return xp[:, :, pad : pad + h, pad : pad + w]
+            xp[:, i : i + (ho - 1) * stride + 1 : stride,
+               j : j + (wo - 1) * stride + 1 : stride] += gcols[..., i, j]
+    return xp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+
+
+def _rows(a):
+    """(N, C, H, W) -> the (N*H*W, C) matrix."""
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
+def _nchw(mat, n, h, w):
+    """The (N*H*W, C) matrix -> an (N, C, H, W) view."""
+    return mat.reshape(n, h, w, -1).transpose(0, 3, 1, 2)
 
 
 def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
@@ -334,18 +372,18 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     cout, kcin, kh, kw = kernels.shape
     if cin != kcin:
         raise DimensionError("input has %d channels, kernels expect %d" % (cin, kcin))
-    _check_conv_geom(h, w, kh, kw, stride, pad)
+    ho, wo = _check_conv_geom(h, w, kh, kw, stride, pad)
     cols = _im2col(xd, kh, kw, stride, pad)
-    out = np.einsum("nchwij,ocij->nohw", cols, kernels.data, optimize=True)
+    out = _nchw(cols @ kernels.data.reshape(cout, -1).T, n, ho, wo)
+    if not kernels.requires_grad:
+        cols = None  # only the kernel gradient reads the windows
 
     def bwd(g):
-        g4 = g[None] if squeeze else g
+        g_rows = _rows(g[None] if squeeze else g)
         if kernels.requires_grad:
-            gk = np.einsum("nohw,nchwij->ocij", g4, cols, optimize=True)
-            kernels.accum_grad(gk.astype(np.float32, copy=False))
+            kernels.accum_grad((g_rows.T @ cols).reshape(kernels.shape))
         if x.requires_grad:
-            gcols = np.einsum("nohw,ocij->nchwij", g4, kernels.data, optimize=True)
-            gx = _col2im(gcols.astype(np.float32, copy=False), xd.shape, stride, pad)
+            gx = _col2im(kernels.data, g_rows, xd.shape, stride, pad)
             x.accum_grad(gx[0] if squeeze else gx)
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)
@@ -363,24 +401,21 @@ def conv2d_transpose(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     kcin, cout, kh, kw = kernels.shape
     if cin != kcin:
         raise DimensionError("input has %d channels, kernels expect %d" % (cin, kcin))
+    _check_stride_pad(stride, pad)
     ho = (h - 1) * stride - 2 * pad + kh
     wo = (w - 1) * stride - 2 * pad + kw
     if ho <= 0 or wo <= 0:
         raise DimensionError("non-positive transposed-conv output size")
-    gcols = np.einsum("nohw,ocij->nchwij", xd, kernels.data, optimize=True)
-    out = _col2im(gcols.astype(np.float32, copy=False), (n, cout, ho, wo),
-                  stride, pad)
+    x_rows = _rows(xd)
+    out = _col2im(kernels.data, x_rows, (n, cout, ho, wo), stride, pad)
 
     def bwd(g):
-        g4 = g[None] if squeeze else g
-        cols = _im2col(g4, kh, kw, stride, pad)
+        cols = _im2col(g[None] if squeeze else g, kh, kw, stride, pad)
         if x.requires_grad:
-            gx = np.einsum("nchwij,ocij->nohw", cols, kernels.data,
-                           optimize=True).astype(np.float32, copy=False)
+            gx = _nchw(cols @ kernels.data.reshape(cin, -1).T, n, h, w)
             x.accum_grad(gx[0] if squeeze else gx)
         if kernels.requires_grad:
-            gk = np.einsum("nohw,nchwij->ocij", xd, cols, optimize=True)
-            kernels.accum_grad(gk.astype(np.float32, copy=False))
+            kernels.accum_grad((x_rows.T @ cols).reshape(kernels.shape))
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)
 

@@ -360,3 +360,129 @@ def test_serialization_header_layout():
     dims = struct.unpack("<2I", raw[8:16])
     assert rank == 2 and dims == (2, 3)
     assert np.frombuffer(raw[16:], dtype="<f4").tolist() == arr.reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("op, stride, pad", [
+    (T.conv2d, 0, 1),
+    (T.conv2d_transpose, 0, 1),
+    (T.conv2d_transpose, 2, -1),
+])
+def test_bad_conv_geometry_rejected(op, stride, pad):
+    x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
+    k = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
+    with pytest.raises(DimensionError, match="stride must be >= 1 and pad >= 0"):
+        op(x, k, stride, pad)
+
+
+# -- the einsum convolutions, kept as the reference the GEMM engine matches --
+
+def _ref_im2col(x, kh, kw, stride, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return v[:, :, ::stride, ::stride, :, :]
+
+
+def _ref_col2im(gcols, out_shape, stride, pad):
+    n, c, ho, wo, kh, kw = gcols.shape
+    _, _, h, w = out_shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + (ho - 1) * stride + 1 : stride,
+               j : j + (wo - 1) * stride + 1 : stride] += gcols[:, :, :, :, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+def _ref_conv2d(x, k, g, stride, pad):
+    """(output, input gradient, kernel gradient) for upstream gradient g."""
+    cols = _ref_im2col(x, k.shape[2], k.shape[3], stride, pad)
+    out = np.einsum("nchwij,ocij->nohw", cols, k, optimize=True)
+    gk = np.einsum("nohw,nchwij->ocij", g, cols, optimize=True)
+    gcols = np.einsum("nohw,ocij->nchwij", g, k, optimize=True)
+    return out, _ref_col2im(gcols.astype(np.float32), x.shape, stride, pad), gk
+
+
+def _ref_conv2d_transpose(x, k, g, stride, pad):
+    n, _, h, w = x.shape
+    _, cout, kh, kw = k.shape
+    out_shape = (n, cout, (h - 1) * stride - 2 * pad + kh,
+                 (w - 1) * stride - 2 * pad + kw)
+    gcols = np.einsum("nohw,ocij->nchwij", x, k, optimize=True)
+    out = _ref_col2im(gcols.astype(np.float32), out_shape, stride, pad)
+    cols = _ref_im2col(g, kh, kw, stride, pad)
+    gx = np.einsum("nchwij,ocij->nohw", cols, k, optimize=True)
+    gk = np.einsum("nohw,nchwij->ocij", x, cols, optimize=True)
+    return out, gx, gk
+
+
+def _gan_conv_calls():
+    """(op name, input shape, kernel shape, stride, pad) of every G and D
+    level of the 32-pixel GAN at base_channels 8 and 16, batch 10."""
+    from shapesem.gan import GanTrainConfig, build_discriminator, build_generator
+
+    calls = []
+    spies = {name: getattr(T, name) for name in ("conv2d", "conv2d_transpose")}
+
+    def spy(name):
+        def op(x, k, stride=1, pad=0):
+            calls.append((name, x.shape, k.shape, stride, pad))
+            return spies[name](x, k, stride, pad)
+        return op
+
+    mp = pytest.MonkeyPatch()
+    for name in spies:
+        mp.setattr(T, name, spy(name))
+    try:
+        for base in (8, 16):
+            for sem in (0, 64):
+                cfg = GanTrainConfig(resolution=32, base_channels=base,
+                                     semantic_dim=sem)
+                img = Tensor(np.zeros((10, 1, 32, 32), dtype=np.float32))
+                s = Tensor(np.zeros((10, sem), dtype=np.float32)) if sem else None
+                fake = build_generator(cfg).forward(img, s)
+                build_discriminator(cfg).forward(img, fake)
+    finally:
+        mp.undo()
+    return list(dict.fromkeys(calls))
+
+
+_TEST_GEOMETRIES = [
+    ("conv2d", (10, 3, 5, 5), (4, 3, 1, 1), 1, 0),
+    ("conv2d", (10, 3, 5, 5), (4, 3, 2, 2), 1, 0),
+    ("conv2d", (10, 3, 5, 5), (4, 3, 3, 3), 1, 0),
+    ("conv2d", (10, 3, 8, 8), (4, 3, 2, 2), 2, 0),
+    ("conv2d", (10, 3, 8, 8), (4, 3, 4, 4), 2, 1),
+    ("conv2d", (10, 3, 7, 7), (4, 3, 4, 4), 1, 1),
+    ("conv2d_transpose", (10, 4, 5, 5), (4, 3, 1, 1), 1, 0),
+    ("conv2d_transpose", (10, 4, 5, 5), (4, 3, 3, 3), 1, 0),
+    ("conv2d_transpose", (10, 4, 4, 4), (4, 3, 2, 2), 2, 0),
+    ("conv2d_transpose", (10, 4, 4, 4), (4, 3, 4, 4), 2, 1),
+    ("conv2d_transpose", (10, 4, 6, 6), (4, 3, 4, 4), 1, 1),
+]
+
+
+@pytest.mark.parametrize("batch", [10, 1, None], ids=["batch10", "batch1", "3d"])
+def test_conv_matches_einsum_reference(batch):
+    """Forward, input gradient and kernel gradient of both convs equal the
+    einsum reference to 1e-5 of its largest magnitude, on every GAN level
+    (the Cout=1 discriminator head among them) and the test geometries."""
+    refs = {"conv2d": _ref_conv2d, "conv2d_transpose": _ref_conv2d_transpose}
+    cases = _gan_conv_calls() + _TEST_GEOMETRIES
+    assert any(k[0] == 1 and name == "conv2d" for name, _, k, _, _ in cases)
+    rng = np.random.default_rng(17)
+    for name, x_shape, k_shape, stride, pad in cases:
+        x4 = rng.standard_normal((batch or 1,) + x_shape[1:]).astype(np.float32)
+        k = rng.standard_normal(k_shape).astype(np.float32)
+        x = Tensor(x4 if batch else x4[0], requires_grad=True)
+        kt = Tensor(k, requires_grad=True)
+        out = getattr(T, name)(x, kt, stride, pad)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        T.tsum(out * Tensor(g)).backward()
+        g4 = g if batch else g[None]
+        ref_out, ref_gx, ref_gk = refs[name](x4, k, g4, stride, pad)
+        got = (out.data if batch else out.data[None],
+               x.grad if batch else x.grad[None], kt.grad)
+        for new, ref in zip(got, (ref_out, ref_gx, ref_gk)):
+            assert new.dtype == np.float32 and new.shape == ref.shape
+            err = np.max(np.abs(new - ref))
+            assert err <= 1e-5 * np.max(np.abs(ref)), (name, x_shape, k_shape, err)
