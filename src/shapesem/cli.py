@@ -139,6 +139,8 @@ def resolve_config(args):
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             cfg[key] = flag
+    if cfg["seed"] < 0:
+        raise CliError("seed must be >= 0, got %d" % cfg["seed"])
     return cfg
 
 

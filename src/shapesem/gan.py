@@ -71,20 +71,19 @@ class GanTrainConfig:
 
     def parameter_count(self) -> int:
         """Parameters of the generator and discriminator, counted without
-        building them: a 4x4 kernel and a bias per conv, a scale and a shift
-        per batch-norm channel."""
-        def conv(c_in, c_out):
-            return 16 * c_in * c_out + c_out
-
+        building them: a 4x4 kernel per conv, then per output channel a
+        scale and a shift where a batch norm follows, else a bias."""
         b = self.base_channels
         ch = _channel_schedule(b, self.resolution.bit_length() - 1)
         up = ch[-2::-1]  # decoder outputs but the last; each takes a skip
-        encoder = sum(map(conv, [1] + ch[:-1], ch)) + 2 * sum(ch[1:-1])
-        decoder = sum(map(conv, [ch[-1] + self.semantic_dim]
-                          + [2 * c for c in up], up + [1])) + 2 * sum(up)
-        disc = (sum(map(conv, (2, b, 2 * b, 4 * b), (b, 2 * b, 4 * b, 1)))
-                + 2 * (2 * b + 4 * b))
-        return encoder + decoder + disc
+        c_in = ([1] + ch[:-1] + [ch[-1] + self.semantic_dim]
+                + [2 * c for c in up] + [2, b, 2 * b, 4 * b])
+        c_out = ch + up + [1] + [b, 2 * b, 4 * b, 1]
+        normed = ch[1:-1] + up + [2 * b, 4 * b]
+        # G's first conv, bottleneck and output; D's first conv and head
+        biased = [ch[0], ch[-1], 1, b, 1]
+        kernels = sum(16 * i * o for i, o in zip(c_in, c_out))
+        return kernels + 2 * sum(normed) + sum(biased)
 
 
 def _channel_schedule(base: int, depth: int):
@@ -103,18 +102,21 @@ class GeneratorNet(Sequentialish):
         self.enc_bn = []
         prev = 1
         for i, c in enumerate(ch):
-            self.enc.append(Conv2d(prev, c, 4, 2, 1, rng))
             # no norm on the first layer or the 1x1 bottleneck output
-            self.enc_bn.append(BatchNorm2d(c) if 0 < i < self.depth - 1 else None)
+            norm = 0 < i < self.depth - 1
+            self.enc.append(Conv2d(prev, c, 4, 2, 1, rng, bias=not norm))
+            self.enc_bn.append(BatchNorm2d(c) if norm else None)
             prev = c
         self.dec = []
         self.dec_bn = []
         in_ch = ch[-1] + config.semantic_dim
         for j in range(1, self.depth + 1):
-            out_ch = ch[self.depth - 1 - j] if j < self.depth else 1
-            self.dec.append(ConvTranspose2d(in_ch, out_ch, 4, 2, 1, rng))
-            self.dec_bn.append(BatchNorm2d(out_ch) if j < self.depth else None)
-            if j < self.depth:
+            norm = j < self.depth
+            out_ch = ch[self.depth - 1 - j] if norm else 1
+            self.dec.append(ConvTranspose2d(in_ch, out_ch, 4, 2, 1, rng,
+                                            bias=not norm))
+            self.dec_bn.append(BatchNorm2d(out_ch) if norm else None)
+            if norm:
                 in_ch = out_ch + ch[self.depth - 1 - j]
         self.layers = [l for l in self.enc + self.enc_bn + self.dec + self.dec_bn
                        if l is not None]
@@ -153,8 +155,8 @@ class DiscriminatorNet(Sequentialish):
         b = config.base_channels
         self.convs = [
             Conv2d(2, b, 4, 2, 1, rng),
-            Conv2d(b, 2 * b, 4, 2, 1, rng),
-            Conv2d(2 * b, 4 * b, 4, 2, 1, rng),
+            Conv2d(b, 2 * b, 4, 2, 1, rng, bias=False),
+            Conv2d(2 * b, 4 * b, 4, 2, 1, rng, bias=False),
         ]
         self.bns = [None, BatchNorm2d(2 * b), BatchNorm2d(4 * b)]
         self.head = Conv2d(4 * b, 1, 4, 1, 1, rng)
@@ -249,7 +251,6 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
     opt_g = Adam(generator.parameters(), config.lr, config.beta1, config.beta2)
     opt_d = Adam(discriminator.parameters(), config.lr, config.beta1, config.beta2)
     d_params = opt_d.params
-    g_norms = [l for l in generator.layers if isinstance(l, BatchNorm2d)]
     rng = np.random.default_rng(config.seed + 2)
     generator.set_training(True)
     discriminator.set_training(True)
@@ -266,15 +267,7 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
             x_sp = Tensor(shapes[sel])
             y = Tensor(targets[sel])
             sem = Tensor(sems[sel]) if sems is not None else None
-
-            # One generator forward serves both steps, but each batch-norm
-            # layer still takes two momentum updates from the same batch
-            # moments: that is the schedule of a forward per step, which the
-            # running statistics in every checkpoint were made with, so
-            # repeating it keeps them byte-identical.
             fake = generator.forward(x_sp, sem)
-            for bn in g_norms:
-                bn.repeat_running_update()
 
             # discriminator step (generator frozen via detach)
             d_loss = discriminator_loss(discriminator.forward(x_sp, y),

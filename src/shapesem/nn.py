@@ -46,35 +46,32 @@ class Linear(Layer):
 
 
 class Conv2d(Layer):
+    """A kernel ``w`` and a per-channel bias ``b``; ``bias=False`` leaves the
+    bias out where a batch norm follows, whose mean subtraction cancels it."""
+
+    transpose = False
+
     def __init__(self, in_ch: int, out_ch: int, k: int, stride: int, pad: int,
-                 rng: np.random.Generator):
-        fan_in = in_ch * k * k
-        self.w = Tensor(_uniform(rng, fan_in, (out_ch, in_ch, k, k)), requires_grad=True)
-        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
+                 rng: np.random.Generator, bias: bool = True):
+        shape = (in_ch, out_ch, k, k) if self.transpose else (out_ch, in_ch, k, k)
+        self.w = Tensor(_uniform(rng, in_ch * k * k, shape), requires_grad=True)
+        self.b = (Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
+                  if bias else None)
         self.stride, self.pad = stride, pad
 
     def parameters(self):
-        return [self.w, self.b]
+        return [self.w] if self.b is None else [self.w, self.b]
 
     def __call__(self, x):
-        out = T.conv2d(x, self.w, self.stride, self.pad)
-        return out + T.reshape(self.b, (1, -1, 1, 1))
+        op = T.conv2d_transpose if self.transpose else T.conv2d
+        out = op(x, self.w, self.stride, self.pad)
+        return out if self.b is None else out + T.reshape(self.b, (1, -1, 1, 1))
 
 
-class ConvTranspose2d(Layer):
-    def __init__(self, in_ch: int, out_ch: int, k: int, stride: int, pad: int,
-                 rng: np.random.Generator):
-        fan_in = in_ch * k * k
-        self.w = Tensor(_uniform(rng, fan_in, (in_ch, out_ch, k, k)), requires_grad=True)
-        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-        self.stride, self.pad = stride, pad
+class ConvTranspose2d(Conv2d):
+    """The upsampling conv; its kernel is laid out (in, out, k, k)."""
 
-    def parameters(self):
-        return [self.w, self.b]
-
-    def __call__(self, x):
-        out = T.conv2d_transpose(x, self.w, self.stride, self.pad)
-        return out + T.reshape(self.b, (1, -1, 1, 1))
+    transpose = True
 
 
 class BatchNorm2d(Layer):
@@ -84,7 +81,6 @@ class BatchNorm2d(Layer):
         self.running_mean = np.zeros(ch, dtype=np.float32)
         self.running_var = np.ones(ch, dtype=np.float32)
         self.training = True
-        self.batch_moments = []  # (mean, var) of the last training batch
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -93,15 +89,8 @@ class BatchNorm2d(Layer):
         return [self.gamma.data, self.beta.data, self.running_mean, self.running_var]
 
     def __call__(self, x):
-        self.batch_moments = []
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, self.training,
-                            moments=self.batch_moments)
-
-    def repeat_running_update(self):
-        """Step the running statistics once more toward the last batch's."""
-        T.update_running_stats(self.running_mean, self.running_var,
-                               *self.batch_moments, T.BN_MOMENTUM)
+                            self.running_var, self.training)
 
 
 class Sequentialish:

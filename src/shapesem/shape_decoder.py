@@ -93,24 +93,12 @@ def fit_base_decoders(ds: Dataset, rois, lam: float = DEFAULT_LAMBDA,
     return out
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def fit_combiner(base_predictions: dict, targets: np.ndarray,
-                 convex: bool = False) -> ShapeCombiner:
+def fit_combiner(base_predictions: dict, targets: np.ndarray) -> ShapeCombiner:
     """Solve the per-pixel least-squares weighting across ROIs.
 
     ``base_predictions``: roi -> (n, g, g) stacked predictions on the
     training set; ``targets``: (n, g, g).  Singular pixels take the
     minimum-norm solution; an all-zero pixel falls back to uniform 1/K.
-    ``convex`` projects each pixel's weights onto the probability simplex
-    (nonnegative, summing to one).
     """
     rois = list(base_predictions)
     stack = np.stack([base_predictions[r] for r in rois], axis=-1).astype(np.float64)
@@ -123,20 +111,17 @@ def fit_combiner(base_predictions: dict, targets: np.ndarray,
             if not a.any():
                 weights[i, j, :] = 1.0 / k
                 continue
-            w = np.linalg.lstsq(a, targets[:, i, j], rcond=None)[0]
-            weights[i, j, :] = _project_simplex(w) if convex else w
+            weights[i, j, :] = np.linalg.lstsq(a, targets[:, i, j], rcond=None)[0]
     return ShapeCombiner(rois, weights)
 
 
 def fit_shape_decoder(ds: Dataset, rois=LVC_ROIS,
-                      lam: float = DEFAULT_LAMBDA, m: int = 8,
-                      convex: bool = False) -> ShapeDecoder:
+                      lam: float = DEFAULT_LAMBDA, m: int = 8) -> ShapeDecoder:
     decoders = fit_base_decoders(ds, rois, lam, m)
     train = ds.split_records("train")
     preds = {roi: dec.predict(ds.layout.matrix(train, roi))
              for roi, dec in decoders.items()}
-    return ShapeDecoder(decoders, fit_combiner(preds, _targets(ds, train, m),
-                                               convex), m)
+    return ShapeDecoder(decoders, fit_combiner(preds, _targets(ds, train, m)), m)
 
 
 def decode_shape_batch(decoder: ShapeDecoder, records, layout) -> np.ndarray:

@@ -14,7 +14,10 @@ from scipy.special import expit
 from .errors import DimensionError, GraphError
 
 LOG_EPS = 1e-7  # clamp for log() inside loss terms
-BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+# weight of each training batch in the running statistics: one step of
+# 1 - 0.9**2 stands for the two steps of 0.1 that a generator forward per
+# D and G step would take from the same batch
+BN_MOMENTUM = 0.19
 BN_EPS = 1e-5  # added to the variance before its square root
 
 
@@ -422,22 +425,13 @@ def conv2d_transpose(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
 
 # -- batch normalization ------------------------------------------------
 
-def update_running_stats(running_mean, running_var, mu, var, momentum: float):
-    """One in-place momentum step of the running statistics toward (mu, var)."""
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
-
-
-def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
-               moments: list | None = None) -> Tensor:
+def batch_norm(x, gamma, beta, running_mean, running_var,
+               training: bool) -> Tensor:
     """Per-channel normalization over (N, H, W) for 4-d input or (N,) for 2-d.
 
-    ``running_mean``/``running_var`` are plain numpy arrays updated in place
-    during training and used verbatim in eval mode.  In training mode the
-    batch mean and variance are appended to ``moments`` if it is a list.
+    ``running_mean``/``running_var`` are plain numpy arrays that training
+    steps in place toward the batch moments, by ``BN_MOMENTUM``; eval mode
+    uses them verbatim.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     nd = x.data.ndim
@@ -448,12 +442,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     if training:
         mu = x.data.mean(axis=axes, dtype=np.float64)
         var = x.data.var(axis=axes, dtype=np.float64)
-        update_running_stats(running_mean, running_var, mu, var, momentum)
-        if moments is not None:
-            moments += (mu, var)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
-    std = np.sqrt(var + eps).astype(np.float32)
+    std = np.sqrt(var + BN_EPS).astype(np.float32)
     xhat = ((x.data - mu.reshape(shape)) / std.reshape(shape)).astype(np.float32)
     out = gb * xhat + bb
     nred = x.data.size // x.data.shape[1]

@@ -307,6 +307,34 @@ def test_wrong_tensors_name_file(tiny_model, tmp_path, capsys, name, damage):
     assert name in err and message in err
 
 
+def test_checkpoint_with_pre_norm_biases_names_file(tiny_model, tmp_path,
+                                                   capsys):
+    """A gan.ckpt in the old layout, with a bias after each kernel that
+    feeds a batch norm (seven at resolution 16, nine at 32), exits 1 naming
+    the file; such a checkpoint has to be retrained."""
+    from shapesem.gan import CHECKPOINT_MAGIC, load_checkpoint
+    from shapesem.nn import Conv2d
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    gen, disc, _ = load_checkpoint(out / "gan.ckpt")
+    with open_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC) as (header, new):
+        pass
+    old = []
+    for layer in gen.layers + disc.layers:
+        old += layer.state_arrays()
+        if isinstance(layer, Conv2d) and layer.b is None:
+            out_ch = layer.w.shape[1 if layer.transpose else 0]
+            old.append(np.zeros(out_ch, dtype=np.float32))
+    assert len(old) == len(new) + 7
+    save_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC, header, old)
+    assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "gan.ckpt" in err and "%d tensors" % len(old) in err
+
+
 def test_oversized_tensor_payload_names_file(tiny_model, tmp_path, capsys):
     """A first tensor dimension of 0xFFFFFFF0 is refused against the bytes
     left in the file before anything is allocated."""
@@ -473,18 +501,24 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("train-semantic", "sem_lr=inf", "lr"),
     ("train-gan", "gan_base_channels=%d" % 10 ** 15, "base_channels"),
     ("train-semantic", "sem_hidden1=%d" % 10 ** 15, "hidden1"),
+    ("simulate", "--seed=-1", "seed"),
+    ("train-semantic", "--seed=-1", "seed"),
+    ("train-gan", "--seed=-1", "seed"),
+    ("evaluate", "--seed=-1", "seed"),
+    ("ablate roi", "--seed=-1", "seed"),
 ])
 def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name):
     """A value out of its range exits 1 naming the key or field, instead of
-    a traceback from deep inside a stage or a silent result."""
+    a traceback from deep inside a stage or a silent result.  A setting
+    that starts with -- is a flag, which wins over the --seed 0 here."""
     ds, art = tiny_model
     out = tmp_path / "art"
     shutil.copytree(art, out)
-    argv = [cmd, "--seed", "0", "--out", str(out), *TINY_MODELS]
+    argv = [*cmd.split(), "--seed", "0", "--out", str(out), *TINY_MODELS]
     if cmd != "simulate":
         argv += ["--dataset", ds]
     for item in settings.split():
-        argv += ["--set", item]
+        argv += [item] if item.startswith("--") else ["--set", item]
     assert run_cli(*argv) == 1
     assert name in capsys.readouterr().err
 

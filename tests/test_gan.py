@@ -255,8 +255,11 @@ class TestTraining:
 def _reference_train(generator, discriminator, pairs, config):
     """The training loop as first written, kept as a bitwise reference: two
     generator forwards per batch, the discriminator's weight gradients
-    computed and thrown away, and Adam with fresh temporaries."""
+    computed and thrown away, and Adam with fresh temporaries.  The second
+    forward's step of the generator's running statistics is undone, so they
+    take one step per batch."""
     from test_tensor import _allocating_adam_update
+    from shapesem.nn import BatchNorm2d
     from shapesem.optim import AdamState
 
     class AllocatingAdam:
@@ -281,6 +284,7 @@ def _reference_train(generator, discriminator, pairs, config):
             if config.semantic_dim else None)
     opt_g = AllocatingAdam(generator.parameters())
     opt_d = AllocatingAdam(discriminator.parameters())
+    norms = [l for l in generator.layers if isinstance(l, BatchNorm2d)]
     rng = np.random.default_rng(config.seed + 2)
     generator.set_training(True)
     discriminator.set_training(True)
@@ -302,7 +306,12 @@ def _reference_train(generator, discriminator, pairs, config):
             opt_d.zero_grad()
             d_loss.backward()
             opt_d.step()
+            kept = [(bn.running_mean.copy(), bn.running_var.copy())
+                    for bn in norms]
             fake = generator.forward(x_sp, sem)
+            for bn, (mean, var) in zip(norms, kept):
+                bn.running_mean[...] = mean
+                bn.running_var[...] = var
             scores = discriminator.forward(x_sp, fake)
             g_total, g_adv, g_l1 = generator_loss(scores, fake, y,
                                                   config.lambda_img)

@@ -198,36 +198,3 @@ class TestDecodeShape:
         a = decode_shape(dec, rec, ds.layout)
         b = decode_shape(back, rec, ds.layout)
         assert np.allclose(a, b, atol=1e-6)
-
-
-class TestConvexCombiner:
-    def test_simplex_projection_properties(self):
-        from shapesem.shape_decoder import _project_simplex
-
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = _project_simplex(rng.standard_normal(5))
-            assert np.all(w >= 0.0)
-            assert abs(w.sum() - 1.0) < 1e-12
-        onehot = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(_project_simplex(onehot), onehot)
-
-    def test_convex_weights_on_simplex(self, noisy_sim):
-        ds, _ = noisy_sim
-        dec = fit_shape_decoder(ds, convex=True)
-        w = dec.combiner.weights
-        assert np.all(w >= 0.0)
-        assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-9)
-
-    def test_convex_noiseless_still_accurate(self, noiseless_sim):
-        from shapesem.evaluation import ssim
-        from shapesem.patches import extract_patch_features, upsample_nearest
-
-        ds, _ = noiseless_sim
-        dec = fit_shape_decoder(ds, convex=True)
-        vals = []
-        for rec in ds.split_records("test"):
-            gt = upsample_nearest(
-                extract_patch_features(ds.masks[rec.stimulus_id], 8), 8)
-            vals.append(ssim(decode_shape(dec, rec, ds.layout), gt))
-        assert np.mean(vals) > 0.95
