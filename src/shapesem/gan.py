@@ -122,27 +122,32 @@ class GeneratorNet(Sequentialish):
                        if l is not None]
 
     def forward(self, shape_img: Tensor, semantics: Tensor | None) -> Tensor:
+        # Each norm applies its level's activation in the same node: leaky
+        # relu in the encoder, relu in the decoder.  feats holds leaky-relu
+        # outputs, and relu(leaky_relu(x)) is relu(x), so the decoder's
+        # relu(concat(h, skip)) is concat(h, relu(feats[skip])).
         feats = []
         h = shape_img
         for i, conv in enumerate(self.enc):
-            if i > 0:
-                h = T.leaky_relu(h, 0.2)
             h = conv(h)
             if self.enc_bn[i] is not None:
-                h = self.enc_bn[i](h)
+                h = self.enc_bn[i](h, 0.2)
+            elif i < self.depth - 1:
+                h = T.leaky_relu(h, 0.2)
             feats.append(h)
         if self.config.semantic_dim:
             if semantics is None:
                 raise DimensionError("generator expects a semantic vector")
             sem = T.reshape(semantics, (semantics.shape[0], -1, 1, 1))
             h = T.concat([h, sem], axis=1)
+        h = T.relu(h)
         for j, deconv in enumerate(self.dec):
-            h = deconv(T.relu(h))
+            h = deconv(h)
             if self.dec_bn[j] is not None:
-                h = self.dec_bn[j](h)
+                h = self.dec_bn[j](h, 0.0)
             skip = self.depth - 2 - j
             if skip >= 0:
-                h = T.concat([h, feats[skip]], axis=1)
+                h = T.concat([h, T.relu(feats[skip])], axis=1)
         out = T.tanh(h)
         return 0.5 * (out + 1.0)
 
@@ -158,7 +163,9 @@ class DiscriminatorNet(Sequentialish):
             Conv2d(b, 2 * b, 4, 2, 1, rng, bias=False),
             Conv2d(2 * b, 4 * b, 4, 2, 1, rng, bias=False),
         ]
-        self.bns = [None, BatchNorm2d(2 * b), BatchNorm2d(4 * b)]
+        # D never runs in eval mode, so its norms keep no running statistics
+        self.bns = [None, BatchNorm2d(2 * b, running=False),
+                    BatchNorm2d(4 * b, running=False)]
         self.head = Conv2d(4 * b, 1, 4, 1, 1, rng)
         self.layers = [l for l in self.convs + self.bns + [self.head]
                        if l is not None]
@@ -167,9 +174,7 @@ class DiscriminatorNet(Sequentialish):
         h = T.concat([shape_img, image], axis=1)
         for conv, bn in zip(self.convs, self.bns):
             h = conv(h)
-            if bn is not None:
-                h = bn(h)
-            h = T.leaky_relu(h, 0.2)
+            h = T.leaky_relu(h, 0.2) if bn is None else bn(h, 0.2)
         return T.sigmoid(self.head(h))
 
 
@@ -253,7 +258,6 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
     d_params = opt_d.params
     rng = np.random.default_rng(config.seed + 2)
     generator.set_training(True)
-    discriminator.set_training(True)
     log = []
     n = len(pairs)
     for epoch in range(1, config.epochs + 1):
@@ -302,7 +306,6 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
                     "d_loss": sums[0] / batches, "g_adv": sums[1] / batches,
                     "g_l1": sums[2] / batches, "g_total": sums[3] / batches})
     generator.set_training(False)
-    discriminator.set_training(False)
     return log
 
 
@@ -362,5 +365,4 @@ def load_checkpoint(path):
         for arr, saved in zip(state, arrays):
             arr[...] = saved
     generator.set_training(False)
-    discriminator.set_training(False)
     return generator, discriminator, config

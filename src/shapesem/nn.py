@@ -75,22 +75,29 @@ class ConvTranspose2d(Conv2d):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, ch: int):
+    """Batch norm over (N, H, W); called with a slope it also applies
+    ``leaky_relu`` (slope 0 is relu) in the same node.  ``running=False``
+    keeps no running statistics: such a norm always uses the batch moments,
+    as a net that never runs in eval mode needs."""
+
+    def __init__(self, ch: int, running: bool = True):
         self.gamma = Tensor(np.ones(ch, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True)
-        self.running_mean = np.zeros(ch, dtype=np.float32)
-        self.running_var = np.ones(ch, dtype=np.float32)
+        self.running_mean = np.zeros(ch, dtype=np.float32) if running else None
+        self.running_var = np.ones(ch, dtype=np.float32) if running else None
         self.training = True
 
     def parameters(self):
         return [self.gamma, self.beta]
 
     def state_arrays(self):
+        if self.running_mean is None:
+            return [self.gamma.data, self.beta.data]
         return [self.gamma.data, self.beta.data, self.running_mean, self.running_var]
 
-    def __call__(self, x):
+    def __call__(self, x, slope=None):
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, self.training)
+                            self.running_var, self.training, slope)
 
 
 class Sequentialish:

@@ -52,11 +52,15 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def accum_grad(self, g: np.ndarray):
+    def accum_grad(self, g: np.ndarray, own: bool = False):
+        """Add ``g`` to the gradient.  ``own=True`` says ``g`` is a float32
+        array the op has just allocated and passes nowhere else, so a first
+        gradient takes it as it is; any other ``g`` (the incoming gradient
+        itself, or a view of it) is copied."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float32, copy=True)
+            self.grad = g if own else np.array(g, dtype=np.float32, copy=True)
         else:
             self.grad += g
 
@@ -166,7 +170,7 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         a.accum_grad(_unbroadcast(g, a.shape))
-        b.accum_grad(_unbroadcast(-g, b.shape))
+        b.accum_grad(_unbroadcast(-g, b.shape), own=True)
 
     return _make(a.data - b.data, (a, b), bwd)
 
@@ -175,8 +179,8 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        a.accum_grad(_unbroadcast(g * b.data, a.shape))
-        b.accum_grad(_unbroadcast(g * a.data, b.shape))
+        a.accum_grad(_unbroadcast(g * b.data, a.shape), own=True)
+        b.accum_grad(_unbroadcast(g * a.data, b.shape), own=True)
 
     return _make(a.data * b.data, (a, b), bwd)
 
@@ -188,9 +192,9 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accum_grad(g @ b.data.T)
+            a.accum_grad(g @ b.data.T, own=True)
         if b.requires_grad:
-            b.accum_grad(a.data.T @ g)
+            b.accum_grad(a.data.T @ g, own=True)
 
     return _make(a.data @ b.data, (a, b), bwd)
 
@@ -199,7 +203,7 @@ def tabs(a) -> Tensor:
     a = _as_tensor(a)
 
     def bwd(g):
-        a.accum_grad(g * np.sign(a.data))
+        a.accum_grad(g * np.sign(a.data), own=True)
 
     return _make(np.abs(a.data), (a,), bwd)
 
@@ -210,7 +214,8 @@ def log_clamped(a) -> Tensor:
     u = np.maximum(a.data, LOG_EPS)
 
     def bwd(g):
-        a.accum_grad(np.where(a.data >= LOG_EPS, g / u, 0.0).astype(np.float32))
+        a.accum_grad(np.where(a.data >= LOG_EPS, g / u, 0.0).astype(np.float32),
+                     own=True)
 
     return _make(np.log(u), (a,), bwd)
 
@@ -221,13 +226,34 @@ def relu(a) -> Tensor:
     return leaky_relu(a, 0.0)
 
 
+def _check_slope(slope):
+    if not 0.0 <= slope <= 1.0:
+        raise DimensionError("activation slope must lie in [0, 1], got %r"
+                             % (slope,))
+    return np.float32(slope)
+
+
+def _slope_factor(pos, s):
+    """The leaky-relu derivative as float32: 1 where ``pos``, else ``s``;
+    (1 - s) + s rounds to exactly 1 in float32 for every s in [0, 1]."""
+    f = pos.astype(np.float32)
+    f *= 1 - s
+    f += s
+    return f
+
+
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """max(x, slope * x), which for a slope in [0, 1] and finite x is x where
+    x >= 0 and slope * x elsewhere, -0.0 kept."""
+    s = _check_slope(slope)
     a = _as_tensor(a)
 
     def bwd(g):
-        a.accum_grad(np.where(a.data >= 0, g, np.float32(slope) * g))
+        f = _slope_factor(a.data >= 0, s)
+        f *= g
+        a.accum_grad(f, own=True)
 
-    return _make(np.where(a.data >= 0, a.data, np.float32(slope) * a.data), (a,), bwd)
+    return _make(np.maximum(a.data, s * a.data), (a,), bwd)
 
 
 def tanh(a) -> Tensor:
@@ -235,7 +261,7 @@ def tanh(a) -> Tensor:
     out = np.tanh(a.data)
 
     def bwd(g):
-        a.accum_grad(g * (1.0 - out * out))
+        a.accum_grad(g * (1.0 - out * out), own=True)
 
     return _make(out, (a,), bwd)
 
@@ -245,7 +271,7 @@ def sigmoid(a) -> Tensor:
     out = expit(a.data).astype(np.float32)
 
     def bwd(g):
-        a.accum_grad(g * out * (1.0 - out))
+        a.accum_grad(g * out * (1.0 - out), own=True)
 
     return _make(out, (a,), bwd)
 
@@ -282,7 +308,8 @@ def tsum(a) -> Tensor:
     a = _as_tensor(a)
 
     def bwd(g):
-        a.accum_grad(np.full(a.shape, g.reshape(-1)[0], dtype=np.float32))
+        a.accum_grad(np.full(a.shape, g.reshape(-1)[0], dtype=np.float32),
+                     own=True)
 
     return _make(np.float32(a.data.sum(dtype=np.float64)), (a,), bwd)
 
@@ -292,7 +319,8 @@ def tmean(a) -> Tensor:
     n = a.data.size
 
     def bwd(g):
-        a.accum_grad(np.full(a.shape, g.reshape(-1)[0] / n, dtype=np.float32))
+        a.accum_grad(np.full(a.shape, g.reshape(-1)[0] / n, dtype=np.float32),
+                     own=True)
 
     return _make(np.float32(a.data.mean(dtype=np.float64)), (a,), bwd)
 
@@ -384,10 +412,10 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     def bwd(g):
         g_rows = _rows(g[None] if squeeze else g)
         if kernels.requires_grad:
-            kernels.accum_grad((g_rows.T @ cols).reshape(kernels.shape))
+            kernels.accum_grad((g_rows.T @ cols).reshape(kernels.shape), own=True)
         if x.requires_grad:
             gx = _col2im(kernels.data, g_rows, xd.shape, stride, pad)
-            x.accum_grad(gx[0] if squeeze else gx)
+            x.accum_grad(gx[0] if squeeze else gx, own=True)
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)
 
@@ -416,54 +444,70 @@ def conv2d_transpose(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
         cols = _im2col(g[None] if squeeze else g, kh, kw, stride, pad)
         if x.requires_grad:
             gx = _nchw(cols @ kernels.data.reshape(cin, -1).T, n, h, w)
-            x.accum_grad(gx[0] if squeeze else gx)
+            x.accum_grad(gx[0] if squeeze else gx, own=True)
         if kernels.requires_grad:
-            kernels.accum_grad((x_rows.T @ cols).reshape(kernels.shape))
+            kernels.accum_grad((x_rows.T @ cols).reshape(kernels.shape), own=True)
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)
 
 
 # -- batch normalization ------------------------------------------------
 
-def batch_norm(x, gamma, beta, running_mean, running_var,
-               training: bool) -> Tensor:
-    """Per-channel normalization over (N, H, W) for 4-d input or (N,) for 2-d.
+def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
+               slope=None) -> Tensor:
+    """Per-channel normalization of an (N, C, H, W) input over (N, H, W),
+    followed, when ``slope`` is set, by ``leaky_relu(., slope)``: one node
+    that keeps a boolean mask for the activation's gradient.
 
-    ``running_mean``/``running_var`` are plain numpy arrays that training
-    steps in place toward the batch moments, by ``BN_MOMENTUM``; eval mode
-    uses them verbatim.
+    It works on the channels-last (N, H, W, C) view, which is free for a
+    conv output.  The mean accumulates in float64, the variance and every
+    reduction of the backward in float32 (``einsum``, no BLAS, so the sums
+    do not depend on the thread count).  ``running_mean``/``running_var``
+    are numpy arrays that training steps in place toward the batch moments
+    by ``BN_MOMENTUM`` and eval mode uses verbatim; with both None the
+    batch moments are used in either mode and nothing is stepped.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    nd = x.data.ndim
-    axes = (0, 2, 3) if nd == 4 else (0,)
-    shape = (1, -1, 1, 1) if nd == 4 else (1, -1)
-    gb = gamma.data.reshape(shape)
-    bb = beta.data.reshape(shape)
-    if training:
-        mu = x.data.mean(axis=axes, dtype=np.float64)
-        var = x.data.var(axis=axes, dtype=np.float64)
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
+    if x.data.ndim != 4:
+        raise DimensionError("batch_norm expects (N, C, H, W) input")
+    s = None if slope is None else _check_slope(slope)
+    xl = x.data.transpose(0, 2, 3, 1)
+    nred = xl.size // xl.shape[-1]
+    batch = training or running_mean is None
+    if batch:
+        mu = np.einsum("nhwc->c", xl, dtype=np.float64) / nred
+        xhat = xl - mu.astype(np.float32)
+        var = np.einsum("nhwc,nhwc->c", xhat, xhat) / np.float32(nred)
+        if running_mean is not None:
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mu
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var
     else:
-        mu, var = running_mean, running_var
-    std = np.sqrt(var + BN_EPS).astype(np.float32)
-    xhat = ((x.data - mu.reshape(shape)) / std.reshape(shape)).astype(np.float32)
-    out = gb * xhat + bb
-    nred = x.data.size // x.data.shape[1]
+        xhat = xl - running_mean
+        var = running_var
+    std = np.sqrt(var + BN_EPS)
+    xhat /= std
+    out = xhat * gamma.data
+    out += beta.data
+    if s is not None:
+        pos = out >= 0
+        np.maximum(out, s * out, out=out)
 
     def bwd(g):
-        dbeta = g.sum(axis=axes, dtype=np.float64).astype(np.float32)
-        dgamma = (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
-        beta.accum_grad(dbeta)
-        gamma.accum_grad(dgamma)
-        if training:
-            gx = (gb / std.reshape(shape) / nred) * (
-                nred * g - dbeta.reshape(shape) - xhat * dgamma.reshape(shape)
-            )
+        if s is None:
+            gy = g.transpose(0, 2, 3, 1).copy()
         else:
-            gx = g * gb / std.reshape(shape)
-        x.accum_grad(gx.astype(np.float32, copy=False))
+            gy = _slope_factor(pos, s)
+            gy *= g.transpose(0, 2, 3, 1)
+        dbeta = np.einsum("nhwc->c", gy)
+        dgamma = np.einsum("nhwc,nhwc->c", gy, xhat)
+        beta.accum_grad(dbeta, own=True)
+        gamma.accum_grad(dgamma, own=True)
+        if batch:  # the backward runs once, so xhat may be overwritten
+            gy -= dbeta / nred
+            gy -= np.multiply(xhat, dgamma / nred, out=xhat)
+        gy *= gamma.data / std
+        x.accum_grad(gy.transpose(0, 3, 1, 2), own=True)
 
-    return _make(out, (x, gamma, beta), bwd)
+    return _make(out.transpose(0, 3, 1, 2), (x, gamma, beta), bwd)

@@ -335,6 +335,36 @@ def test_checkpoint_with_pre_norm_biases_names_file(tiny_model, tmp_path,
     assert "gan.ckpt" in err and "%d tensors" % len(old) in err
 
 
+def test_checkpoint_with_discriminator_running_stats_names_file(tiny_model,
+                                                                tmp_path,
+                                                                capsys):
+    """A gan.ckpt in the old layout, with a running mean and variance after
+    each of the discriminator's two norms, exits 1 naming the file; such a
+    checkpoint has to be retrained."""
+    from shapesem.gan import CHECKPOINT_MAGIC, load_checkpoint
+    from shapesem.nn import BatchNorm2d
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    gen, disc, _ = load_checkpoint(out / "gan.ckpt")
+    with open_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC) as (header, new):
+        pass
+    old = gen.state_arrays()
+    for layer in disc.layers:
+        old += layer.state_arrays()
+        if isinstance(layer, BatchNorm2d):
+            assert layer.running_mean is None
+            ch = layer.gamma.shape[0]
+            old += [np.zeros(ch, dtype=np.float32), np.ones(ch, dtype=np.float32)]
+    assert len(old) == len(new) + 4
+    save_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC, header, old)
+    assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "gan.ckpt" in err and "%d tensors" % len(old) in err
+
+
 def test_oversized_tensor_payload_names_file(tiny_model, tmp_path, capsys):
     """A first tensor dimension of 0xFFFFFFF0 is refused against the bytes
     left in the file before anything is allocated."""

@@ -112,6 +112,20 @@ class TestGeneratorShape:
         assert np.all(s.data > 0) and np.all(s.data < 1)
 
 
+    def test_discriminator_norms_keep_no_running_statistics(self):
+        """D's norms always use the batch moments: its state is its
+        parameters, and eval mode scores as training mode does."""
+        cfg = GanTrainConfig(resolution=32, base_channels=4)
+        disc = build_discriminator(cfg)
+        assert all(bn.running_mean is None for bn in disc.bns if bn is not None)
+        assert len(disc.state_arrays()) == len(disc.parameters())
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.random((3, 1, 32, 32), dtype=np.float32))
+        b = Tensor(rng.random((3, 1, 32, 32), dtype=np.float32))
+        scores = disc.forward(a, b).data
+        disc.set_training(False)
+        assert np.array_equal(disc.forward(a, b).data, scores)
+
 class TestLosses:
     def test_perfect_generator_loss_is_zero(self):
         d = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32))

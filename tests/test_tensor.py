@@ -294,9 +294,9 @@ def _frozen_operand_case(op, shapes, frozen, monkeypatch):
     handed = []
     accum = Tensor.accum_grad
 
-    def spy(self, g):
+    def spy(self, g, own=False):
         handed.append(self)
-        accum(self, g)
+        accum(self, g, own)
 
     monkeypatch.setattr(Tensor, "accum_grad", spy)
     for freeze in (None, frozen):
@@ -415,24 +415,21 @@ def _ref_conv2d_transpose(x, k, g, stride, pad):
     return out, gx, gk
 
 
-def _gan_conv_calls():
-    """(op name, input shape, kernel shape, stride, pad) of every G and D
-    level of the 32-pixel GAN at base_channels 8 and 16, batch 10."""
+def _gan_calls(name, key):
+    """The distinct ``key(*args)`` of the calls to ``T.<name>`` in one G and
+    D forward of the 32-pixel GAN at base_channels 8 and 16, with and
+    without semantics, at batch 10."""
     from shapesem.gan import GanTrainConfig, build_discriminator, build_generator
 
     calls = []
-    spies = {name: getattr(T, name) for name in ("conv2d", "conv2d_transpose")}
+    real = getattr(T, name)
 
-    def spy(name):
-        def op(x, k, stride=1, pad=0):
-            calls.append((name, x.shape, k.shape, stride, pad))
-            return spies[name](x, k, stride, pad)
-        return op
+    def spy(*args):
+        calls.append(key(*args))
+        return real(*args)
 
-    mp = pytest.MonkeyPatch()
-    for name in spies:
-        mp.setattr(T, name, spy(name))
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, name, spy)
         for base in (8, 16):
             for sem in (0, 64):
                 cfg = GanTrainConfig(resolution=32, base_channels=base,
@@ -441,9 +438,15 @@ def _gan_conv_calls():
                 s = Tensor(np.zeros((10, sem), dtype=np.float32)) if sem else None
                 fake = build_generator(cfg).forward(img, s)
                 build_discriminator(cfg).forward(img, fake)
-    finally:
-        mp.undo()
     return list(dict.fromkeys(calls))
+
+
+def _gan_conv_calls():
+    """(op name, input shape, kernel shape, stride, pad) of every G and D
+    level of the 32-pixel GAN at base_channels 8 and 16, batch 10."""
+    return [call for name in ("conv2d", "conv2d_transpose")
+            for call in _gan_calls(name, lambda x, k, stride=1, pad=0:
+                                   (name, x.shape, k.shape, stride, pad))]
 
 
 _TEST_GEOMETRIES = [
@@ -486,3 +489,237 @@ def test_conv_matches_einsum_reference(batch):
             assert new.dtype == np.float32 and new.shape == ref.shape
             err = np.max(np.abs(new - ref))
             assert err <= 1e-5 * np.max(np.abs(ref)), (name, x_shape, k_shape, err)
+
+
+# -- batch norm then np.where activations, the reference the fused node matches
+
+def _ref_leaky_relu(a, slope):
+    def bwd(g):
+        a.accum_grad(np.where(a.data >= 0, g, np.float32(slope) * g))
+
+    return T._make(np.where(a.data >= 0, a.data, np.float32(slope) * a.data),
+                   (a,), bwd)
+
+
+def _ref_batch_norm(x, gamma, beta, running_mean, running_var, training):
+    """Batch norm with float64 moments over the NCHW view."""
+    shape = (1, -1, 1, 1)
+    gb = gamma.data.reshape(shape)
+    if training:
+        mu = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
+        var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
+        running_mean *= 1.0 - T.BN_MOMENTUM
+        running_mean += T.BN_MOMENTUM * mu
+        running_var *= 1.0 - T.BN_MOMENTUM
+        running_var += T.BN_MOMENTUM * var
+    else:
+        mu, var = running_mean, running_var
+    std = np.sqrt(var + T.BN_EPS).astype(np.float32).reshape(shape)
+    xhat = ((x.data - mu.reshape(shape)) / std).astype(np.float32)
+    nred = x.data.size // x.data.shape[1]
+
+    def bwd(g):
+        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+        dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+        beta.accum_grad(dbeta)
+        gamma.accum_grad(dgamma)
+        if training:
+            gx = (gb / std / nred) * (nred * g - dbeta.reshape(shape)
+                                      - xhat * dgamma.reshape(shape))
+        else:
+            gx = g * gb / std
+        x.accum_grad(gx.astype(np.float32, copy=False))
+
+    return T._make(gb * xhat + beta.data.reshape(shape), (x, gamma, beta), bwd)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.5, 1.0])
+def test_activations_match_where_form_bitwise(slope):
+    """max(x, s*x) and its float mask-factor gradient give the bytes of the
+    np.where forms for finite x (at slope 0, 0 * inf is nan), signed zeros,
+    subnormals and nan among the inputs."""
+    rng = np.random.default_rng(31)
+    tiny = np.float32(1e-45)
+    x = np.concatenate([[0.0, -0.0, tiny, -tiny, np.nan],
+                        rng.standard_normal(300)]).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    g[:3] = -0.0
+    ops = [lambda t: T.leaky_relu(t, slope), lambda t: _ref_leaky_relu(t, slope)]
+    if slope == 0.0:
+        ops.append(T.relu)
+    got = []
+    for op in ops:
+        t = Tensor(x, requires_grad=True)
+        out = op(t)
+        T.tsum(out * Tensor(g)).backward()
+        got.append((out.data.tobytes(), t.grad.tobytes()))
+        assert np.signbit(out.data[1]) and not np.signbit(out.data[0])
+    assert all(pair == got[0] for pair in got)
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+def test_activation_slope_outside_unit_interval_rejected(slope):
+    """max(x, s*x) is leaky relu only for 0 <= s <= 1."""
+    x = Tensor(np.ones((1, 2, 2, 2), dtype=np.float32))
+    ones = Tensor(np.ones(2, dtype=np.float32))
+    with pytest.raises(DimensionError):
+        T.leaky_relu(x, slope)
+    with pytest.raises(DimensionError):
+        T.batch_norm(x, ones, ones, None, None, True, slope)
+
+
+def _gan_norm_calls():
+    """(input shape, slope) of every G and D norm of the 32-pixel GAN."""
+    cases = _gan_calls("batch_norm", lambda x, gamma, beta, rm, rv, training,
+                       slope=None: (x.shape, slope))
+    assert {slope for _, slope in cases} == {0.0, 0.2}
+    return cases
+
+
+def _norm_inputs(rng, shape):
+    """A conv-like channels-last input, an upstream gradient, and random
+    scale, shift and running statistics for an (N, C, H, W) norm."""
+    n, c, h, w = shape
+    x = rng.standard_normal((n, h, w, c)).astype(np.float32) * 2 + 0.5
+    return (x.transpose(0, 3, 1, 2), rng.standard_normal(shape).astype(np.float32),
+            rng.uniform(0.5, 1.5, c).astype(np.float32),
+            rng.normal(0.0, 0.3, c).astype(np.float32),
+            rng.normal(0.0, 0.3, c).astype(np.float32),
+            rng.uniform(0.5, 2.0, c).astype(np.float32))
+
+
+def _norm_run(fused, x, g, gamma, beta, mean, var, training, slope):
+    """Output, input/scale/shift gradients and running statistics of the
+    fused node, or of the reference chain."""
+    xt = Tensor(x, requires_grad=True)
+    gt = Tensor(gamma, requires_grad=True)
+    bt = Tensor(beta, requires_grad=True)
+    stats = [mean.copy(), var.copy()]
+    if fused:
+        out = T.batch_norm(xt, gt, bt, *stats, training, slope)
+    else:
+        out = _ref_batch_norm(xt, gt, bt, *stats, training)
+        if slope is not None:
+            out = _ref_leaky_relu(out, slope)
+    T.tsum(out * Tensor(g)).backward()
+    return [out.data, xt.grad, gt.grad, bt.grad] + stats
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("batch", [10, 1], ids=["batch10", "batch1"])
+def test_fused_norm_matches_chain(batch, training):
+    """The fused node matches batch_norm -> np.where activation forward, in
+    the stepped running statistics and in every gradient, to 1e-5 of the
+    reference's largest magnitude, on every G and D norm level at
+    base_channels 8 and 16, with its own slope and with none."""
+    rng = np.random.default_rng(23)
+    for shape, slope in _gan_norm_calls():
+        for s in (slope, None):
+            args = _norm_inputs(rng, (batch,) + shape[1:])
+            new = _norm_run(True, *args, training, s)
+            ref = _norm_run(False, *args, training, s)
+            for a, b in zip(new, ref):
+                assert a.dtype == np.float32 and a.shape == b.shape
+                err = np.max(np.abs(a - b))
+                assert err <= 1e-5 * np.max(np.abs(b)), (shape, s, err)
+
+
+@pytest.mark.parametrize("slope", [None, 0.0, 0.2])
+def test_fused_norm_finite_difference(slope):
+    rng = np.random.default_rng(9)
+    x, g, gamma, beta, _, _ = _norm_inputs(rng, (4, 3, 2, 2))
+    # _numeric_grad perturbs through a flat view, so x must be contiguous
+    params = [Tensor(np.ascontiguousarray(a), requires_grad=True)
+              for a in (x, gamma, beta)]
+
+    def forward():
+        out = T.batch_norm(*params, None, None, True, slope)
+        return T.tsum(out * Tensor(g))
+
+    forward().backward()
+    for p in params:
+        fd = _numeric_grad(lambda: float(forward().data), p.data)
+        denom = np.maximum(1.0, np.abs(fd))
+        assert np.max(np.abs(p.grad - fd) / denom) < 2e-3
+
+
+def test_parent_gradients_never_alias():
+    """An op that hands its incoming gradient, or views of it, to its
+    parents gives each parent its own array, and arrays an op allocates
+    are owned by one tensor: every gradient is right and none share
+    memory."""
+    rng = np.random.default_rng(4)
+    a, b = (Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True) for _ in range(2))
+    w = rng.standard_normal((2, 12, 4, 4)).astype(np.float32)
+    nodes = [a, b, a + b, a - b]
+    nodes.append(T.reshape(nodes[-1], (2, -1)))
+    nodes += [T.reshape(nodes[-1], a.shape), a * b, T.leaky_relu(a, 1.0)]
+    nodes.append(T.concat([nodes[2]] + nodes[5:], axis=1))
+    T.tsum(nodes[-1] * Tensor(w)).backward()
+    w1, w2, w3, w4 = np.split(w, 4, axis=1)
+    assert np.allclose(a.grad, w1 + w2 + w3 * b.data + w4, atol=1e-6)
+    assert np.allclose(b.grad, w1 - w2 + w3 * a.data, atol=1e-6)
+    for i, t in enumerate(nodes):
+        for u in nodes[i + 1:]:
+            assert not np.may_share_memory(t.grad, u.grad)
+
+    from shapesem.gan import (GanTrainConfig, build_discriminator,
+                              build_generator, generator_loss)
+
+    cfg = GanTrainConfig(resolution=16, base_channels=2, semantic_dim=3)
+    gen, disc = build_generator(cfg), build_discriminator(cfg)
+    x = Tensor(rng.random((2, 1, 16, 16)).astype(np.float32), requires_grad=True)
+    sem = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+    fake = gen.forward(x, sem)
+    generator_loss(disc.forward(x, fake), fake, np.zeros(fake.shape), 1.0)[0].backward()
+    grads = [p.grad for p in [x, sem] + gen.parameters() + disc.parameters()]
+    for i, gi in enumerate(grads):
+        assert gi is not None
+        for gj in grads[i + 1:]:
+            assert not np.may_share_memory(gi, gj)
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from shapesem import tensor as T
+from shapesem.tensor import Tensor
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for shape, slope, training in [((10, 16, 16, 16), 0.0, True),
+                               ((10, 32, 8, 8), 0.2, True),
+                               ((10, 16, 16, 16), 0.0, False)]:
+    n, c, h, w = shape
+    x = Tensor(rng.standard_normal((n, h, w, c)).astype(np.float32)
+               .transpose(0, 3, 1, 2), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(np.float32), requires_grad=True)
+    beta = Tensor(rng.normal(0, 0.3, c).astype(np.float32), requires_grad=True)
+    stats = [np.zeros(c, np.float32), np.ones(c, np.float32)]
+    out = T.batch_norm(x, gamma, beta, *stats, training, slope)
+    g = rng.standard_normal(shape).astype(np.float32)
+    T.tsum(out * Tensor(g)).backward()
+    for a in [out.data, x.grad, gamma.grad, beta.grad] + stats:
+        digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fused_norm_bytes_do_not_depend_on_blas_threads():
+    """A fused norm forward and backward at G level sizes gives the same
+    bytes at one and two OpenBLAS threads: none of its sums go to BLAS."""
+    import os
+    import subprocess
+    import sys
+
+    import shapesem
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shapesem.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
