@@ -136,7 +136,7 @@ def resolve_config(args):
         except (ValueError, TypeError) as exc:
             raise CliError("bad value for %s: %r (%s)" % (key, val, exc)) from None
     for key in ("dataset", "out", "seed", "runs", "mode", "metric"):
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     if cfg["seed"] < 0:

@@ -228,8 +228,11 @@ def load_dataset(root) -> Dataset:
         layout = RoiLayout(tuple((name, (lo, hi)) for name, lo, hi in manifest["rois"]))
         meta = [(m["stimulus_id"], int(m["category_id"]), m["split"],
                  int(m["trial_index"])) for m in manifest["records"]]
-        if not all(isinstance(sid, str) for sid, *_ in meta):
-            raise TypeError("stimulus_id must be a string")
+        for sid, *_ in meta:
+            if not isinstance(sid, str):
+                raise TypeError("stimulus_id must be a string")
+            if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
+                raise ValueError("stimulus_id %r is not a plain file name" % sid)
         categories = list(manifest["categories"])
     except OSError as exc:
         raise DataError("cannot read manifest: %s" % exc)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, average_test_trials
+from .dataset import Dataset, average_test_trials, write_pgm
 from .errors import DataError, DimensionError
 from .gan import (GanTrainConfig, build_discriminator, build_generator,
                   generate_batch, make_augmented_pairs, train)
@@ -276,8 +276,6 @@ def report_rows(report: EvalReport, label: str):
 
 def write_montage(path, triplets) -> None:
     """Grid of (ground truth, decoded shape, reconstruction) rows as one PGM."""
-    from .dataset import write_pgm
-
     if not triplets:
         raise DataError("no triplets to render")
     s = np.asarray(triplets[0][0]).shape[0]

@@ -73,21 +73,33 @@ class GanTrainConfig:
         """Parameters of the generator and discriminator, counted without
         building them: a 4x4 kernel per conv, then per output channel a
         scale and a shift where a batch norm follows, else a bias."""
-        b = self.base_channels
-        ch = _channel_schedule(b, self.resolution.bit_length() - 1)
-        up = ch[-2::-1]  # decoder outputs but the last; each takes a skip
-        c_in = ([1] + ch[:-1] + [ch[-1] + self.semantic_dim]
-                + [2 * c for c in up] + [2, b, 2 * b, 4 * b])
-        c_out = ch + up + [1] + [b, 2 * b, 4 * b, 1]
-        normed = ch[1:-1] + up + [2 * b, 4 * b]
-        # G's first conv, bottleneck and output; D's first conv and head
-        biased = [ch[0], ch[-1], 1, b, 1]
-        kernels = sum(16 * i * o for i, o in zip(c_in, c_out))
-        return kernels + 2 * sum(normed) + sum(biased)
+        return sum(16 * i * o + (2 * o if norm else o)
+                   for i, o, norm in conv_plan(self))
 
 
-def _channel_schedule(base: int, depth: int):
-    return [min(base * 2 ** i, 8 * base) for i in range(depth)]
+def conv_plan(config: GanTrainConfig):
+    """``(in_channels, out_channels, norm_follows)`` of every 4x4 conv in
+    build order: G's stride-2 encoder, G's transposed decoder (one level
+    each per halving of the resolution), D's three stride-2 convs, then D's
+    stride-1 head.  A conv that a batch norm follows has no bias."""
+    b = config.base_channels
+    depth = config.resolution.bit_length() - 1
+    ch = [min(b * 2 ** i, 8 * b) for i in range(depth)]
+    up = ch[-2::-1] + [1]
+    # the bottleneck joined by the semantics, then each output by its skip
+    up_in = [ch[-1] + config.semantic_dim] + [2 * c for c in up[:-1]]
+    # no norm on G's first conv, its 1x1 bottleneck or its output
+    enc = [(i, o, 0 < k < depth - 1) for k, (i, o) in enumerate(zip([1] + ch, ch))]
+    dec = [(i, o, k < depth - 1) for k, (i, o) in enumerate(zip(up_in, up))]
+    return enc + dec + [(2, b, False), (b, 2 * b, True), (2 * b, 4 * b, True),
+                        (4 * b, 1, False)]
+
+
+def _convs(cls, plan, rng, **norm_kw):
+    """Stride-2 convs for ``plan`` rows, each with its batch norm or None."""
+    convs = [cls(i, o, 4, 2, 1, rng, bias=not norm) for i, o, norm in plan]
+    return convs, [BatchNorm2d(o, **norm_kw) if norm else None
+                   for _, o, norm in plan]
 
 
 class GeneratorNet(Sequentialish):
@@ -95,29 +107,10 @@ class GeneratorNet(Sequentialish):
 
     def __init__(self, config: GanTrainConfig, rng: np.random.Generator):
         self.config = config
-        s = config.resolution
-        self.depth = int(np.log2(s))
-        ch = _channel_schedule(config.base_channels, self.depth)
-        self.enc = []
-        self.enc_bn = []
-        prev = 1
-        for i, c in enumerate(ch):
-            # no norm on the first layer or the 1x1 bottleneck output
-            norm = 0 < i < self.depth - 1
-            self.enc.append(Conv2d(prev, c, 4, 2, 1, rng, bias=not norm))
-            self.enc_bn.append(BatchNorm2d(c) if norm else None)
-            prev = c
-        self.dec = []
-        self.dec_bn = []
-        in_ch = ch[-1] + config.semantic_dim
-        for j in range(1, self.depth + 1):
-            norm = j < self.depth
-            out_ch = ch[self.depth - 1 - j] if norm else 1
-            self.dec.append(ConvTranspose2d(in_ch, out_ch, 4, 2, 1, rng,
-                                            bias=not norm))
-            self.dec_bn.append(BatchNorm2d(out_ch) if norm else None)
-            if norm:
-                in_ch = out_ch + ch[self.depth - 1 - j]
+        plan = conv_plan(config)[:-4]
+        self.depth = len(plan) // 2
+        self.enc, self.enc_bn = _convs(Conv2d, plan[:self.depth], rng)
+        self.dec, self.dec_bn = _convs(ConvTranspose2d, plan[self.depth:], rng)
         self.layers = [l for l in self.enc + self.enc_bn + self.dec + self.dec_bn
                        if l is not None]
 
@@ -157,16 +150,11 @@ class DiscriminatorNet(Sequentialish):
 
     def __init__(self, config: GanTrainConfig, rng: np.random.Generator):
         self.config = config
-        b = config.base_channels
-        self.convs = [
-            Conv2d(2, b, 4, 2, 1, rng),
-            Conv2d(b, 2 * b, 4, 2, 1, rng, bias=False),
-            Conv2d(2 * b, 4 * b, 4, 2, 1, rng, bias=False),
-        ]
+        plan = conv_plan(config)[-4:]
         # D never runs in eval mode, so its norms keep no running statistics
-        self.bns = [None, BatchNorm2d(2 * b, running=False),
-                    BatchNorm2d(4 * b, running=False)]
-        self.head = Conv2d(4 * b, 1, 4, 1, 1, rng)
+        self.convs, self.bns = _convs(Conv2d, plan[:3], rng, running=False)
+        i, o, _ = plan[3]
+        self.head = Conv2d(i, o, 4, 1, 1, rng)
         self.layers = [l for l in self.convs + self.bns + [self.head]
                        if l is not None]
 
@@ -255,7 +243,6 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
 
     opt_g = Adam(generator.parameters(), config.lr, config.beta1, config.beta2)
     opt_d = Adam(discriminator.parameters(), config.lr, config.beta1, config.beta2)
-    d_params = opt_d.params
     rng = np.random.default_rng(config.seed + 2)
     generator.set_training(True)
     log = []
@@ -282,17 +269,12 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
             opt_d.zero_grad()
 
             # generator step (discriminator frozen: no weight grads computed)
-            for p in d_params:
-                p.requires_grad = False
-            try:
+            with discriminator.frozen():
                 scores = discriminator.forward(x_sp, fake)
                 g_total, g_adv, g_l1 = generator_loss(scores, fake, y,
                                                       config.lambda_img)
                 opt_g.zero_grad()
                 g_total.backward()
-            finally:
-                for p in d_params:
-                    p.requires_grad = True
             opt_g.step()
 
             vals = (d_loss.item(), g_adv.item(), g_l1.item(), g_total.item())
@@ -325,6 +307,7 @@ def generate_batch(generator: GeneratorNet, shapes: np.ndarray,
 
     Runs in chunks of ``config.batch`` to bound memory; eval-mode batch norm
     treats every sample on its own, so chunking does not change the output.
+    The generator is frozen throughout, so no backward graph is recorded.
     """
     generator.set_training(False)
     shapes = np.asarray(shapes, dtype=np.float32)
@@ -333,10 +316,12 @@ def generate_batch(generator: GeneratorNet, shapes: np.ndarray,
         sems = np.asarray(semantics, dtype=np.float32)
     step = generator.config.batch
     out = np.empty_like(shapes)
-    for lo in range(0, len(shapes), step):
-        hi = lo + step
-        sem = Tensor(sems[lo:hi]) if sems is not None else None
-        out[lo:hi] = generator.forward(Tensor(shapes[lo:hi, None]), sem).data[:, 0]
+    with generator.frozen():
+        for lo in range(0, len(shapes), step):
+            hi = lo + step
+            sem = Tensor(sems[lo:hi]) if sems is not None else None
+            out[lo:hi] = generator.forward(Tensor(shapes[lo:hi, None]),
+                                           sem).data[:, 0]
     return out
 
 

@@ -6,6 +6,8 @@ numpy Generator so whole networks are reproducible from one seed.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import tensor as T
@@ -121,3 +123,17 @@ class Sequentialish:
         for lay in self.layers:
             if isinstance(lay, BatchNorm2d):
                 lay.training = flag
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """No parameter requires grad inside the block, so the net's ops
+        record no backward graph and no gradient reaches its weights; the
+        flags come back on exit, also when the block raises."""
+        params = [p for p in self.parameters() if p.requires_grad]
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in params:
+                p.requires_grad = True

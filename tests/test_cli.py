@@ -481,6 +481,67 @@ def test_negative_category_id_names_manifest(tiny_model, tmp_path, capsys):
     assert "manifest.json" in err and "category id -1" in err
 
 
+def _rename_stimulus(manifest, sid):
+    """``manifest`` text with the first stimulus's records under ``sid``."""
+    doc = json.loads(manifest)
+    old = doc["records"][0]["stimulus_id"]
+    for rec in doc["records"]:
+        if rec["stimulus_id"] == old:
+            rec["stimulus_id"] = sid
+    return json.dumps(doc), old
+
+
+@pytest.mark.parametrize("sid", ["../../escaped", "bad\x00id"])
+def test_hostile_stimulus_id_names_manifest(tiny_model, tmp_path, capsys, sid):
+    """A stimulus_id that leaves the dataset directory, or that no file name
+    can hold, exits 1 naming manifest.json; preprocess reads and writes
+    nothing, even where the id points at a readable image."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    doc, old = _rename_stimulus((bad / "manifest.json").read_text(), sid)
+    (bad / "manifest.json").write_text(doc)
+    shutil.copy(bad / "stimuli" / (old + ".pgm"), tmp_path / "escaped.pgm")
+    out = tmp_path / "out"
+    assert run_cli("preprocess", "--dataset", str(bad),
+                   "--out", str(out / "a")) == 1
+    assert "manifest.json" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "escaped.pgm"]
+
+
+def test_manifest_stimulus_id_fuzz(tiny_model, tmp_path_factory, monkeypatch):
+    """Any stimulus_id either loads with every image read from under the
+    dataset root, or raises a DataError naming manifest.json."""
+    from shapesem import dataset
+
+    root = tmp_path_factory.mktemp("ids") / "ds"
+    shutil.copytree(tiny_model[0], root)
+    manifest = (root / "manifest.json").read_text()
+    real_root = os.path.realpath(root) + os.sep
+    image = np.zeros((16, 16), dtype=np.float32)
+    read = []
+    monkeypatch.setattr(dataset, "read_pgm",
+                        lambda path: read.append(str(path)) or image)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(st.text(st.sampled_from("./\\\x00ab"), max_size=8)
+           | st.text(max_size=8))
+    def loads_under_root_or_names_manifest(sid):
+        (root / "manifest.json").write_text(_rename_stimulus(manifest, sid)[0])
+        read.clear()
+        try:
+            dataset.load_dataset(root)
+        except DataError as exc:
+            assert "manifest.json" in str(exc)
+        else:
+            assert read and all("\0" not in p and
+                                os.path.realpath(p).startswith(real_root)
+                                for p in read)
+
+    loads_under_root_or_names_manifest()
+
+
 def test_training_artifacts_byte_identical(tiny_model, tmp_path):
     """Repeating the seeded train-semantic and train-gan runs rewrites their
     artifacts byte for byte."""

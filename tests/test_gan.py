@@ -6,9 +6,10 @@ import pytest
 from shapesem import tensor as T
 from shapesem.errors import ConfigError, DataError, DimensionError
 from shapesem.gan import (GanTrainConfig, build_discriminator, build_generator,
-                          discriminator_loss, generate, generator_loss,
-                          load_checkpoint, lr_at_epoch, make_augmented_pairs,
-                          save_checkpoint, train, write_loss_log)
+                          discriminator_loss, generate, generate_batch,
+                          generator_loss, load_checkpoint, lr_at_epoch,
+                          make_augmented_pairs, save_checkpoint, train,
+                          write_loss_log)
 from shapesem.tensor import Tensor
 
 
@@ -46,6 +47,23 @@ class TestConfig:
         nets = (build_generator(cfg), build_discriminator(cfg))
         assert cfg.parameter_count() == sum(p.data.size for net in nets
                                             for p in net.parameters())
+
+    def test_state_array_shapes_pinned(self):
+        """The nets and the parameter count read one conv plan, so each
+        array's shape is written out here: G's encoder kernels and the
+        first conv's and bottleneck's biases, its norms, the decoder
+        kernels and output bias, its norms; then D's kernels, first bias,
+        norms, and head."""
+        cfg = GanTrainConfig(resolution=16, base_channels=2, semantic_dim=3)
+        k = 4, 4
+        gen = [(2, 1, *k), (2,), (4, 2, *k), (8, 4, *k), (16, 8, *k), (16,),
+               *[(4,)] * 4, *[(8,)] * 4,
+               (19, 8, *k), (16, 4, *k), (8, 2, *k), (4, 1, *k), (1,),
+               *[(8,)] * 4, *[(4,)] * 4, *[(2,)] * 4]
+        disc = [(2, 2, *k), (2,), (4, 2, *k), (8, 4, *k),
+                (4,), (4,), (8,), (8,), (1, 8, *k), (1,)]
+        assert [a.shape for a in build_generator(cfg).state_arrays()] == gen
+        assert [a.shape for a in build_discriminator(cfg).state_arrays()] == disc
 
     def test_parameter_budget(self):
         """Too wide a network is refused by its config, before any tensor
@@ -125,6 +143,36 @@ class TestGeneratorShape:
         scores = disc.forward(a, b).data
         disc.set_training(False)
         assert np.array_equal(disc.forward(a, b).data, scores)
+
+    def test_generate_batch_records_no_graph(self, monkeypatch):
+        """Eval forwards leave every tensor without a backward closure,
+        and the parameters require grad again afterwards."""
+        cfg = GanTrainConfig(resolution=16, base_channels=2, semantic_dim=3,
+                             batch=2)
+        gen = build_generator(cfg)
+        made = []
+        make = T._make
+
+        def recording_make(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(T, "_make", recording_make)
+        rng = np.random.default_rng(0)
+        shapes = rng.random((3, 16, 16), dtype=np.float32)
+        out = generate_batch(gen, shapes, rng.random((3, 3), dtype=np.float32))
+        assert out.shape == (3, 16, 16)
+        assert made and all(t._backward is None for t in made)
+        assert all(p.requires_grad for p in gen.parameters())
+
+    def test_generate_batch_restores_grad_flags_on_error(self):
+        cfg = GanTrainConfig(resolution=16, base_channels=2, semantic_dim=3)
+        gen = build_generator(cfg)
+        with pytest.raises(DimensionError):
+            generate_batch(gen, np.zeros((2, 16, 16), dtype=np.float32),
+                           np.zeros((2, 5), dtype=np.float32))
+        assert all(p.requires_grad for p in gen.parameters())
+
 
 class TestLosses:
     def test_perfect_generator_loss_is_zero(self):
