@@ -1,9 +1,12 @@
 """Command-line entry point for the full pipeline.
 
 One flat key = value config namespace is shared by all subcommands; a config
-file (``--config``, '#' comments) supplies defaults and command-line flags win
-over the file.  Every run writes a JSON manifest next to its artifacts with
-the resolved config, the seed, and sha256 checksums of everything it wrote.
+file (``--config``, '#' comments) supplies defaults, ``--set`` items override
+it and flags win over both; every value goes through its key's converter.
+``main`` runs each subcommand: it loads the dataset, makes ``--out``, calls
+the command, writes a JSON manifest next to its artifacts with the resolved
+config, the seed, and sha256 checksums of everything it wrote, and prints
+the command's summary.  ``report`` only reads, and writes no manifest.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 """
@@ -30,6 +33,7 @@ from .gan import (GanTrainConfig, load_checkpoint, save_checkpoint,
                   write_loss_log)
 from .semantic import (SemanticNetConfig, accuracy, load_semantic_net,
                        save_semantic_net, train_semantic)
+from .serial import write_csv
 from .shape_decoder import (DEFAULT_LAMBDA, fit_shape_decoder,
                             load_shape_decoder, save_shape_decoder)
 
@@ -92,6 +96,19 @@ KNOWN_KEYS = {
     "shape_lambda": (float, DEFAULT_LAMBDA),
     **_field_keys(),
 }
+# the keys a flag of the same name sets
+FLAG_KEYS = ("dataset", "out", "seed", "runs", "mode", "metric")
+
+
+def _key_value(text, where):
+    """(key, raw value) of one ``key = value`` item; ``where`` names the
+    file and line, or the flag, that it came from."""
+    key, eq, val = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise CliError("%s: expected key = value, got: %s" % (where, text))
+    if key not in KNOWN_KEYS:
+        raise CliError("%s: unknown key %r in: %s" % (where, key, text))
+    return key, val
 
 
 def parse_config_file(path):
@@ -102,54 +119,39 @@ def parse_config_file(path):
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError("%s:%d: expected key = value, got: %s"
-                               % (path, lineno, raw.rstrip()))
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in KNOWN_KEYS:
-                raise CliError("%s:%d: unknown key in line: %s"
-                               % (path, lineno, raw.rstrip()))
-            values[key] = val.strip()
+            if line:
+                key, val = _key_value(line, "%s:%d" % (path, lineno))
+                values[key] = val
     return values
 
 
 def resolve_config(args):
-    """File defaults, then --set overrides, then explicit flags."""
+    """File defaults, then --set overrides, then explicit flags, each value
+    converted by its key's converter."""
+    raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    raw.update(_key_value(item, "--set")
+               for item in getattr(args, "set", None) or [])
+    raw.update((key, getattr(args, key)) for key in FLAG_KEYS
+               if getattr(args, key, None) is not None)
     cfg = {k: default for k, (_, default) in KNOWN_KEYS.items()}
-    raw = {}
-    if getattr(args, "config", None):
-        raw.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise CliError("--set expects key=value, got: %s" % item)
-        key, _, val = item.partition("=")
-        if key.strip() not in KNOWN_KEYS:
-            raise CliError("unknown key in --set: %s" % item)
-        raw[key.strip()] = val.strip()
     for key, val in raw.items():
-        conv = KNOWN_KEYS[key][0]
         try:
-            cfg[key] = conv(val)
+            cfg[key] = KNOWN_KEYS[key][0](val)
         except (ValueError, TypeError) as exc:
             raise CliError("bad value for %s: %r (%s)" % (key, val, exc)) from None
-    for key in ("dataset", "out", "seed", "runs", "mode", "metric"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
     if cfg["seed"] < 0:
         raise CliError("seed must be >= 0, got %d" % cfg["seed"])
     return cfg
 
 
-def _require_out(cfg):
+def _require_out(cfg, make):
+    """The --out directory, made and checked writable if ``make``."""
     if not cfg["out"]:
         raise CliError("an output directory is required (--out)")
-    os.makedirs(cfg["out"], exist_ok=True)
-    if not os.access(cfg["out"], os.W_OK):
-        raise CliError("output dir not writable: %s" % cfg["out"])
+    if make:
+        os.makedirs(cfg["out"], exist_ok=True)
+        if not os.access(cfg["out"], os.W_OK):
+            raise CliError("output dir not writable: %s" % cfg["out"])
     return cfg["out"]
 
 
@@ -157,9 +159,6 @@ def _load_ds(cfg) -> Dataset:
     """The dataset with its repeated test trials averaged."""
     if not cfg["dataset"]:
         raise CliError("a dataset directory is required (--dataset)")
-    if not os.path.exists(os.path.join(cfg["dataset"], "manifest.json")):
-        raise CliError("missing artifact: %s"
-                       % os.path.join(cfg["dataset"], "manifest.json"))
     return average_test_trials(load_dataset(cfg["dataset"]))
 
 
@@ -211,58 +210,39 @@ def _sem_config(cfg, ds: Dataset) -> SemanticNetConfig:
                    in_dim=len(ds.layout.indices("HVC")))
 
 
-def _dataset_files(out):
-    return [os.path.join(dirpath, f) for dirpath, _, files in os.walk(out)
-            for f in files if not f.startswith("run_manifest")]
-
-
 # -- subcommand bodies --------------------------------------------------
+# each takes the resolved config, the averaged dataset (None for a command
+# without --dataset) and the --out directory, and returns the paths it wrote
+# and its summary line
 
-def cmd_simulate(cfg):
-    out = _require_out(cfg)
+def cmd_simulate(cfg, _, out):
     ds, _ = simulate(_config(cfg, SyntheticConfig))
-    save_dataset(ds, out)
-    write_manifest(out, "simulate", cfg, _dataset_files(out))
-    print("simulate: wrote dataset with %d records to %s" % (len(ds.records), out))
-    return 0
+    written = save_dataset(ds, out)
+    return written, ("simulate: wrote dataset with %d records to %s"
+                     % (len(ds.records), out))
 
 
-def cmd_preprocess(cfg):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
-    save_dataset(ds, out)
-    write_manifest(out, "preprocess", cfg, _dataset_files(out))
-    print("preprocess: averaged test trials into %s" % out)
-    return 0
+def cmd_preprocess(cfg, ds, out):
+    return save_dataset(ds, out), "preprocess: averaged test trials into %s" % out
 
 
-def cmd_train_shape(cfg):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
+def cmd_train_shape(cfg, ds, out):
     dec = fit_shape_decoder(ds, lam=cfg["shape_lambda"], m=cfg["patch_size"])
     path = _artifact(cfg, "shape_decoder.shd")
     save_shape_decoder(dec, path)
-    write_manifest(out, "train-shape", cfg, [path])
-    print("train-shape: wrote %s" % path)
-    return 0
+    return [path], "train-shape: wrote %s" % path
 
 
-def cmd_train_semantic(cfg):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
+def cmd_train_semantic(cfg, ds, out):
     net = train_semantic(ds, _sem_config(cfg, ds), roi_set="HVC",
                          seed=cfg["seed"])
     path = _artifact(cfg, "semantic_net.sem")
     save_semantic_net(net, path)
     acc = accuracy(net, ds, ds.split_records("train"))
-    write_manifest(out, "train-semantic", cfg, [path])
-    print("train-semantic: wrote %s (train accuracy %.3f)" % (path, acc))
-    return 0
+    return [path], "train-semantic: wrote %s (train accuracy %.3f)" % (path, acc)
 
 
-def cmd_train_gan(cfg):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
+def cmd_train_gan(cfg, ds, out):
     dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
     sem_net = None
     if cfg["mode"] != "no_semantics":
@@ -274,10 +254,8 @@ def cmd_train_gan(cfg):
     save_checkpoint(ckpt, gen, disc)
     loss_csv = _artifact(cfg, "gan_loss.csv")
     write_loss_log(loss_csv, log)
-    write_manifest(out, "train-gan", cfg, [ckpt, loss_csv])
-    print("train-gan: %d epochs, final g_total %.4f, wrote %s"
-          % (len(log), log[-1]["g_total"], ckpt))
-    return 0
+    return [ckpt, loss_csv], ("train-gan: %d epochs, final g_total %.4f, wrote %s"
+                              % (len(log), log[-1]["g_total"], ckpt))
 
 
 def _reconstruct_all(cfg, ds):
@@ -298,9 +276,7 @@ def _reconstruct_all(cfg, ds):
     return shapes, recons, cfg["mode"] if sem_net else "no_semantics"
 
 
-def cmd_reconstruct(cfg):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
+def cmd_reconstruct(cfg, ds, out):
     shapes, recons, _ = _reconstruct_all(cfg, ds)
     test = ds.split_records("test")
     written = []
@@ -313,14 +289,11 @@ def cmd_reconstruct(cfg):
                 for r, sp, rc in zip(test, shapes, recons)]
     write_montage(montage, triplets)
     written.append(montage)
-    write_manifest(out, "reconstruct", cfg, written)
-    print("reconstruct: wrote %d reconstructions and %s" % (len(recons), montage))
-    return 0
+    return written, ("reconstruct: wrote %d reconstructions and %s"
+                     % (len(recons), montage))
 
 
-def cmd_evaluate(cfg):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
+def cmd_evaluate(cfg, ds, out):
     test = ds.split_records("test")
     if cfg["metric"] == "shape":
         dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd",
@@ -334,15 +307,11 @@ def cmd_evaluate(cfg):
     report = pairwise_win_rate(preds, gts, runs=cfg["runs"], seed=cfg["seed"])
     path = _artifact(cfg, "report_%s.csv" % cfg["metric"])
     write_report_csv(path, report_rows(report, label))
-    write_manifest(out, "evaluate", cfg, [path])
-    print("evaluate[%s]: mean win rate %.4f over %d runs -> %s"
-          % (cfg["metric"], report.mean_win_rate, cfg["runs"], path))
-    return 0
+    return [path], ("evaluate[%s]: mean win rate %.4f over %d runs -> %s"
+                    % (cfg["metric"], report.mean_win_rate, cfg["runs"], path))
 
 
-def cmd_ablate(cfg, which):
-    ds = _load_ds(cfg)
-    out = _require_out(cfg)
+def cmd_ablate(cfg, ds, out, which):
     path = _artifact(cfg, "ablation_%s.csv" % which)
     if which == "roi":
         n_train_stims = len({r.stimulus_id for r in ds.split_records("train")})
@@ -350,13 +319,10 @@ def cmd_ablate(cfg, which):
         table = roi_ablation(ds, n_validation=n_val,
                              shape_lambda=cfg["shape_lambda"],
                              patch_size=cfg["patch_size"], seed=cfg["seed"],
-                             runs=cfg["runs"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["roi_set", "shape_win_rate", "semantic_accuracy"])
-            for row in table:
-                w.writerow([row["roi_set"], "%.8g" % row["shape_win_rate"],
-                            "%.8g" % row["semantic_accuracy"]])
+                             runs=cfg["runs"],
+                             semantic_config=_sem_config(cfg, ds))
+        fields = ["roi_set", "shape_win_rate", "semantic_accuracy"]
+        write_csv(path, fields, [[row[f] for f in fields] for row in table])
         summary = ", ".join("%s=%.3f" % (r["roi_set"], r["shape_win_rate"])
                             for r in table)
     else:
@@ -378,25 +344,22 @@ def cmd_ablate(cfg, which):
         write_report_csv(path, rows)
         summary = "full=%.3f %s=%.3f" % (full.report.mean_win_rate, drop_label,
                                          drop.report.mean_win_rate)
-    write_manifest(out, "ablate-%s" % which, cfg, [path])
-    print("ablate[%s]: %s -> %s" % (which, summary, path))
-    return 0
+    return [path], "ablate[%s]: %s -> %s" % (which, summary, path)
 
 
-def cmd_report(cfg):
-    out = _require_out(cfg)
-    names = sorted(f for f in os.listdir(out)
-                   if f.endswith(".csv") and (f.startswith("report_")
-                                              or f.startswith("ablation_")))
+def cmd_report(cfg, _, out):
+    found = os.listdir(out) if os.path.isdir(out) else []
+    names = sorted(f for f in found if f.endswith(".csv")
+                   and f.startswith(("report_", "ablation_")))
     if not names:
         raise CliError("no report CSVs found in %s (run evaluate/ablate first)"
                        % out)
+    lines = []
     for name in names:
-        print("== %s ==" % name)
+        lines.append("== %s ==" % name)
         with open(os.path.join(out, name), newline="") as fh:
-            for row in csv.reader(fh):
-                print("  " + ", ".join(row))
-    return 0
+            lines += ["  " + ", ".join(row) for row in csv.reader(fh)]
+    return [], "\n".join(lines)
 
 
 # -- argument parsing ---------------------------------------------------
@@ -417,9 +380,8 @@ def build_parser():
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int,
-                       required=needs_seed, help="random seed")
-        p.add_argument("--runs", type=int, help="identification runs")
+        p.add_argument("--seed", required=needs_seed, help="random seed")
+        p.add_argument("--runs", help="identification runs")
         if needs_dataset:
             p.add_argument("--dataset", help="dataset directory")
         return p
@@ -434,14 +396,15 @@ def build_parser():
         needs_seed=True)
     p = add("train-gan", cmd_train_gan,
             "train the conditional reconstruction GAN", needs_seed=True)
-    p.add_argument("--mode", choices=["full", "no_semantics"],
-                   help="drop semantic conditioning if no_semantics")
+    p.add_argument("--mode", help="full, or no_semantics to drop semantic "
+                   "conditioning")
     add("reconstruct", cmd_reconstruct,
         "reconstruct every test record and emit a montage")
     p = add("evaluate", cmd_evaluate, "pairwise identification win rate to CSV")
-    p.add_argument("--metric", choices=["shape", "recon"],
-                   help="evaluate decoded shapes or GAN reconstructions")
-    p = add("ablate", None, "run one ablation experiment", needs_seed=True)
+    p.add_argument("--metric", help="shape or recon: evaluate decoded shapes "
+                   "or GAN reconstructions")
+    p = add("ablate", cmd_ablate, "run one ablation experiment",
+            needs_seed=True)
     p.add_argument("which", choices=["roi", "semantics", "augmentation"])
     add("report", cmd_report, "print all CSV reports in the output dir",
         needs_dataset=False)
@@ -456,9 +419,16 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = resolve_config(args)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.which)
-        return args.func(cfg)
+        # the dataset loads before --out is made, so a bad one leaves no dir
+        ds = _load_ds(cfg) if "dataset" in args else None
+        writes = args.command != "report"
+        out = _require_out(cfg, make=writes)
+        which = [args.which] if "which" in args else []
+        written, summary = args.func(cfg, ds, out, *which)
+        if writes:
+            write_manifest(out, "-".join([args.command, *which]), cfg, written)
+        print(summary)
+        return 0
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2

@@ -195,7 +195,8 @@ def read_pgm(path) -> np.ndarray:
 
 # -- save / load --------------------------------------------------------
 
-def save_dataset(ds: Dataset, root) -> None:
+def save_dataset(ds: Dataset, root) -> list:
+    """Write ``ds`` under ``root``; returns the paths of the files written."""
     root = Path(root)
     (root / "stimuli").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)
@@ -213,10 +214,13 @@ def save_dataset(ds: Dataset, root) -> None:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     save_artifact(root / "voxels.bin", VOXEL_MAGIC, {},
                   (r.voxels for r in ds.records))
-    for sid, img in ds.stimuli.items():
-        write_pgm(root / "stimuli" / (sid + ".pgm"), img)
-    for sid, mask in ds.masks.items():
-        write_pgm(root / "masks" / (sid + ".pgm"), mask)
+    written = [root / "manifest.json", root / "voxels.bin"]
+    for folder, images in (("stimuli", ds.stimuli), ("masks", ds.masks)):
+        for sid, img in images.items():
+            path = root / folder / (sid + ".pgm")
+            write_pgm(path, img)
+            written.append(path)
+    return written
 
 
 def load_dataset(root) -> Dataset:
@@ -245,9 +249,7 @@ def load_dataset(root) -> Dataset:
     for sid, *_ in meta:
         if sid not in stimuli:
             stimuli[sid] = read_pgm(root / "stimuli" / (sid + ".pgm"))
-            mask_path = root / "masks" / (sid + ".pgm")
-            if mask_path.exists():
-                masks[sid] = read_pgm(mask_path)
+            masks[sid] = read_pgm(root / "masks" / (sid + ".pgm"))
     try:
         return Dataset(layout, records, stimuli, masks, categories)
     except DataError as exc:

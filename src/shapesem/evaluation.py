@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field, replace
 
@@ -15,6 +14,7 @@ from .gan import (GanTrainConfig, build_discriminator, build_generator,
 from .patches import extract_patch_features, upsample_nearest
 from .semantic import (SemanticNetConfig, accuracy, category_average,
                        semantic_features_batch, train_semantic)
+from .serial import write_csv
 from .shape_decoder import DEFAULT_LAMBDA, decode_shape_batch, fit_shape_decoder
 
 # published win rates, kept in reports for orientation only, never asserted
@@ -192,8 +192,11 @@ def _holdout_validation(ds: Dataset, n_validation: int = 40) -> Dataset:
 
 def roi_ablation(ds: Dataset, roi_sets=("V1", "V2", "V3", "LVC", "HVC", "VC"),
                  n_validation: int = 40, shape_lambda: float = DEFAULT_LAMBDA,
-                 patch_size: int = 8, seed: int = 0, runs: int = 5):
-    """Shape win-rate and semantic accuracy per ROI set on held-out samples."""
+                 patch_size: int = 8, seed: int = 0, runs: int = 5,
+                 semantic_config: SemanticNetConfig | None = None):
+    """Shape win-rate and semantic accuracy per ROI set on held-out samples.
+    Each set's classifier is ``semantic_config`` with that set's voxel count
+    as ``in_dim``, or by default ``train_semantic``'s own."""
     if not roi_sets:
         raise DataError("roi_sets must be nonempty")
     ds2 = _holdout_validation(ds, n_validation)
@@ -205,7 +208,9 @@ def roi_ablation(ds: Dataset, roi_sets=("V1", "V2", "V3", "LVC", "HVC", "VC"),
         dec = fit_shape_decoder(ds2, members, shape_lambda, patch_size)
         shapes, _ = decode_records(dec, None, val, ds2.layout)
         report = pairwise_win_rate(shapes, gts, runs=runs, seed=seed)
-        net = train_semantic(ds2, roi_set=roi_set, seed=seed)
+        sem_cfg = None if semantic_config is None else replace(
+            semantic_config, in_dim=len(ds2.layout.indices(roi_set)))
+        net = train_semantic(ds2, sem_cfg, roi_set=roi_set, seed=seed)
         table.append({
             "roi_set": roi_set,
             "shape_win_rate": report.mean_win_rate,
@@ -257,14 +262,10 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
 # -- reports ------------------------------------------------------------
 
 def write_report_csv(path, rows) -> None:
-    """Rows of (metric, label, run, value); RFC-4180 via the csv module."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "label", "run", "value"])
-        for metric, label, run, value in rows:
-            w.writerow([metric, label, run, "%.8g" % value])
-        for label, value in REFERENCE_WIN_RATES.items():
-            w.writerow(["reference_win_rate", label, "", "%.8g" % value])
+    """Rows of (metric, label, run, value), then the published win rates."""
+    write_csv(path, ["metric", "label", "run", "value"],
+              list(rows) + [("reference_win_rate", label, "", value)
+                            for label, value in REFERENCE_WIN_RATES.items()])
 
 
 def report_rows(report: EvalReport, label: str):

@@ -8,7 +8,6 @@ alternates one discriminator step and one generator step per batch.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError
 from .nn import MAX_PARAMETERS, BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish
 from .optim import Adam
 from .patches import extract_patch_features, upsample_nearest
-from .serial import check_shapes, open_artifact, save_artifact
+from .serial import check_shapes, open_artifact, save_artifact, write_csv
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"GAN1"
@@ -292,13 +291,8 @@ def train(generator: GeneratorNet, discriminator: DiscriminatorNet, pairs,
 
 
 def write_loss_log(path, log) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "lr", "d_loss", "g_adv", "g_l1", "g_total"])
-        for row in log:
-            w.writerow([row["epoch"], "%.8g" % row["lr"], "%.8g" % row["d_loss"],
-                        "%.8g" % row["g_adv"], "%.8g" % row["g_l1"],
-                        "%.8g" % row["g_total"]])
+    fields = ["epoch", "lr", "d_loss", "g_adv", "g_l1", "g_total"]
+    write_csv(path, fields, [[row[f] for f in fields] for row in log])
 
 
 def generate_batch(generator: GeneratorNet, shapes: np.ndarray,

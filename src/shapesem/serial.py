@@ -5,11 +5,13 @@ An artifact is a 4-byte magic naming its kind (``GAN1``, ``SEM1``, ``SHD1``,
 up to the end of the file.  Each tensor is ``TSR1``, u32 rank, u32 dims, then
 float32 data, all little-endian and row-major.  Each tensor carries its own
 shape, so loaders check the shapes against what the header implies.
+Tables (loss logs, reports) are CSV files written by ``write_csv``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -91,3 +93,13 @@ def check_shapes(arrays, shapes) -> None:
     for i, (arr, shape) in enumerate(zip(arrays, shapes)):
         if arr.shape != shape:
             raise DataError("tensor %d has shape %s, expected %s" % (i, arr.shape, shape))
+
+
+def write_csv(path, header, rows) -> None:
+    """``header`` then ``rows`` as RFC-4180 CSV, every float as %.8g."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(["%.8g" % v if isinstance(v, (float, np.floating)) else v
+                        for v in row])

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapesem.cli import main, parse_config_file, resolve_config
+import cli_recipe
+from cli_recipe import TINY_MODELS, TINY_SIM
+from shapesem.cli import build_parser, main, parse_config_file, resolve_config
 from shapesem.errors import DataError
 
 
@@ -81,6 +83,22 @@ class TestConfigParsing:
         resolved = resolve_config(Args())
         assert resolved["seed"] == 7       # flag beats file
         assert resolved["runs"] == 3       # --set beats file
+
+    @pytest.mark.parametrize("cmd, key, value, expected", [
+        ("evaluate", "seed", "3", 3),
+        ("evaluate", "runs", "2", 2),
+        ("evaluate", "metric", "shape", "shape"),
+        ("train-gan", "mode", "no_semantics", "no_semantics"),
+    ])
+    def test_flag_resolves_as_set(self, cmd, key, value, expected):
+        """A flag is the same key = value item as --set, converted by the
+        same converter."""
+        parse = build_parser().parse_args
+        seed = ["--seed", "1"] if cmd == "train-gan" else []
+        by_flag = resolve_config(parse([cmd, *seed, "--" + key, value]))
+        by_set = resolve_config(parse([cmd, *seed, "--set", key + "=" + value]))
+        assert by_flag == by_set
+        assert by_flag[key] == expected
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("simulate", "--seed", "1", "--out", str(tmp_path / "d"),
@@ -207,6 +225,19 @@ def test_preprocess_averages_trials(tmp_path):
     assert all(r.trial_index == 0 for r in test)
 
 
+def test_dataset_manifest_lists_only_the_dataset(tiny_model, tmp_path):
+    """preprocess into a directory that holds other files lists in its
+    manifest the dataset files it wrote, not the files it found there."""
+    ds, art = tiny_model
+    fresh, crowded = tmp_path / "fresh", tmp_path / "crowded"
+    shutil.copytree(art, crowded)
+    for out in (fresh, crowded):
+        assert run_cli("preprocess", "--dataset", ds, "--out", str(out)) == 0
+    listed = [json.loads((out / "run_manifest_preprocess.json").read_text())
+              for out in (fresh, crowded)]
+    assert listed[0]["artifacts"] == listed[1]["artifacts"]
+
+
 def test_ablate_roi_writes_table(tmp_path):
     ds, art = str(tmp_path / "ds"), str(tmp_path / "art")
     run_cli("simulate", "--seed", "4", "--out", ds, "--set", "image_size=16",
@@ -222,21 +253,41 @@ def test_ablate_roi_writes_table(tmp_path):
 
 
 def test_report_with_no_csvs_fails(tmp_path, capsys):
+    """report only reads: a missing --out exits 1 and is not created."""
     assert run_cli("report", "--out", str(tmp_path / "empty")) == 1
     assert "no report CSVs" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
+
+
+def test_each_command_writes_what_its_manifest_lists(tmp_path):
+    """After each step of the CLI recipe the work dir holds the files it
+    held before, the files the step's manifest lists, each with the listed
+    sha256, and the manifest; nothing else changed.  report and the runs
+    that fail change nothing, not even a directory."""
+    def files(snap):
+        return {path: sha for path, sha in snap.items() if sha}
+
+    for code, argv in cli_recipe.steps(str(tmp_path)):
+        before = cli_recipe.snapshot(tmp_path)
+        assert cli_recipe.run(main, argv)[0] == code, argv
+        after = cli_recipe.snapshot(tmp_path)
+        if code or argv[0] == "report":
+            assert after == before, argv
+            continue
+        out = os.path.relpath(argv[argv.index("--out") + 1], tmp_path)
+        name = "_".join(argv[:2] if argv[0] == "ablate" else argv[:1])
+        manifest = os.path.join(out, "run_manifest_%s.json"
+                                % name.replace("-", "_"))
+        with open(tmp_path / manifest) as fh:
+            listed = {os.path.join(out, rel): sha
+                      for rel, sha in json.load(fh)["artifacts"].items()}
+        assert files(after) == {**files(before), **listed,
+                                manifest: after[manifest]}, argv
 
 
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert "simulate" in capsys.readouterr().out
-
-
-TINY_SIM = ["--set", "image_size=16", "--set", "categories=2",
-            "--set", "n_train=8", "--set", "n_test=4", "--set", "test_trials=1"]
-TINY_MODELS = ["--set", "gan_epochs=2", "--set", "gan_decay_start=1",
-               "--set", "gan_batch=4", "--set", "gan_base_channels=2",
-               "--set", "sem_hidden1=8",
-               "--set", "sem_hidden2=4", "--set", "sem_epochs=2"]
 
 
 @pytest.fixture(scope="module")
@@ -597,6 +648,10 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("train-gan", "--seed=-1", "seed"),
     ("evaluate", "--seed=-1", "seed"),
     ("ablate roi", "--seed=-1", "seed"),
+    ("simulate", "--seed=abc", "seed"),
+    ("evaluate", "--runs=x", "runs"),
+    ("train-gan", "--mode=x", "mode"),
+    ("evaluate", "--metric=x", "metric"),
 ])
 def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name):
     """A value out of its range exits 1 naming the key or field, instead of
@@ -724,6 +779,41 @@ def test_ablate_augmentation_with_small_semantic_net(tiny_model, tmp_path):
     with open(art / "ablation_augmentation.csv", newline="") as fh:
         labels = {row[1] for row in csv.reader(fh) if row[0] == "mean_win_rate"}
     assert labels == {"full", "no_augmentation"}
+
+
+def test_missing_mask_names_file(tiny_model, tmp_path, capsys):
+    """A dataset without one training mask PGM exits 1 with the mask named,
+    instead of a KeyError from inside the shape decoder."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    victim = bad / "masks" / "train_0003.pgm"
+    victim.unlink()
+    assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
+                   "--out", str(tmp_path / "art")) == 1
+    assert victim.name in capsys.readouterr().err
+
+
+def test_ablate_roi_honours_semantic_keys(tiny_model, tmp_path, monkeypatch):
+    """ablate roi trains each ROI set's classifier as the sem_* keys
+    describe, with that set's voxel count as its input width."""
+    from shapesem import evaluation
+
+    ds, _ = tiny_model
+    calls = []
+    train_semantic = evaluation.train_semantic
+
+    def spy(ds, config=None, roi_set="HVC", seed=0):
+        calls.append((roi_set, config, len(ds.layout.indices(roi_set))))
+        return train_semantic(ds, config, roi_set=roi_set, seed=seed)
+
+    monkeypatch.setattr(evaluation, "train_semantic", spy)
+    assert run_cli("ablate", "roi", "--seed", "0", "--dataset", ds,
+                   "--out", str(tmp_path / "art"), "--runs", "2",
+                   "--set", "sem_hidden1=8", "--set", "sem_epochs=2") == 0
+    assert [roi for roi, _, _ in calls] == ["V1", "V2", "V3", "LVC", "HVC", "VC"]
+    for _, config, n_voxels in calls:
+        assert (config.hidden1, config.epochs, config.in_dim) == (8, 2, n_voxels)
 
 
 def test_pgm_trailing_bytes_names_file(tiny_model, tmp_path, capsys):
