@@ -139,6 +139,9 @@ def resolve_config(args):
             cfg[key] = KNOWN_KEYS[key][0](val)
         except (ValueError, TypeError) as exc:
             raise CliError("bad value for %s: %r (%s)" % (key, val, exc)) from None
+    if getattr(args, "needs_seed", False) and "seed" not in raw:
+        raise CliError("the seed key is required: --seed, --set seed=N or "
+                       "seed = N in --config")
     if cfg["seed"] < 0:
         raise CliError("seed must be >= 0, got %d" % cfg["seed"])
     return cfg
@@ -162,11 +165,8 @@ def _load_ds(cfg) -> Dataset:
     return average_test_trials(load_dataset(cfg["dataset"]))
 
 
-def _artifact(cfg, name, required=False):
-    path = os.path.join(cfg["out"], name)
-    if required and not os.path.exists(path):
-        raise CliError("missing artifact: %s" % path)
-    return path
+def _artifact(cfg, name):
+    return os.path.join(cfg["out"], name)
 
 
 def _sha256(path):
@@ -243,15 +243,14 @@ def cmd_train_semantic(cfg, ds, out):
 
 
 def cmd_train_gan(cfg, ds, out):
-    dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
+    dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd"))
     sem_net = None
     if cfg["mode"] != "no_semantics":
-        sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
-                                              required=True))
-    gen, disc, log = fit_gan(ds, dec, sem_net, _config(
+        sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem"))
+    gen, log = fit_gan(ds, dec, sem_net, _config(
         cfg, GanTrainConfig, resolution=ds.image_size))
     ckpt = _artifact(cfg, "gan.ckpt")
-    save_checkpoint(ckpt, gen, disc)
+    save_checkpoint(ckpt, gen)
     loss_csv = _artifact(cfg, "gan_loss.csv")
     write_loss_log(loss_csv, log)
     return [ckpt, loss_csv], ("train-gan: %d epochs, final g_total %.4f, wrote %s"
@@ -261,16 +260,15 @@ def cmd_train_gan(cfg, ds, out):
 def _reconstruct_all(cfg, ds):
     """(decoded shapes, reconstructions) of the test records, and the report
     label of the checkpoint's model, which the mode key may not contradict."""
-    dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd", required=True))
-    ckpt = _artifact(cfg, "gan.ckpt", required=True)
-    gen, _, gan_cfg = load_checkpoint(ckpt)
+    dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd"))
+    ckpt = _artifact(cfg, "gan.ckpt")
+    gen, gan_cfg = load_checkpoint(ckpt)
     sem_net = None
     if gan_cfg.semantic_dim > 0:
         if cfg["mode"] == "no_semantics":
             raise CliError("mode=no_semantics, but %s is conditioned on "
                            "semantics" % ckpt)
-        sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem",
-                                              required=True))
+        sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem"))
     shapes, recons = reconstruct_records(gen, dec, sem_net,
                                          ds.split_records("test"), ds.layout)
     return shapes, recons, cfg["mode"] if sem_net else "no_semantics"
@@ -296,8 +294,7 @@ def cmd_reconstruct(cfg, ds, out):
 def cmd_evaluate(cfg, ds, out):
     test = ds.split_records("test")
     if cfg["metric"] == "shape":
-        dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd",
-                                           required=True))
+        dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd"))
         preds, _ = decode_records(dec, None, test, ds.layout)
         gts = projected_masks(ds, test, dec.patch_size)
         label = "shape"
@@ -375,12 +372,12 @@ def build_parser():
 
     def add(name, func, help_text, needs_dataset=True, needs_seed=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, needs_seed=needs_seed)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", required=needs_seed, help="random seed")
+        p.add_argument("--seed", help="random seed")
         p.add_argument("--runs", help="identification runs")
         if needs_dataset:
             p.add_argument("--dataset", help="dataset directory")

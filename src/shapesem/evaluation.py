@@ -144,7 +144,7 @@ def fit_gan(ds: Dataset, shape_dec, sem_net, gan_config: GanTrainConfig,
     category_id) of a category that has training records, its shape taken
     at the shape decoder's patch size.  The GAN's ``semantic_dim`` is the semantic net's
     ``hidden2``, or 0 without a net, whatever ``gan_config`` says.  Returns
-    (generator, discriminator, loss log)."""
+    (generator, loss log); the discriminator only serves training."""
     gan_config = replace(gan_config,
                          semantic_dim=sem_net.config.hidden2 if sem_net else 0)
     records = ds.split_records("train")
@@ -157,8 +157,8 @@ def fit_gan(ds: Dataset, shape_dec, sem_net, gan_config: GanTrainConfig,
                     else category_average(sems, labels))
         pairs.extend(make_augmented_pairs(augment_images, averages,
                                           shape_dec.patch_size))
-    gen, disc = build_generator(gan_config), build_discriminator(gan_config)
-    return gen, disc, train(gen, disc, pairs, gan_config)
+    gen = build_generator(gan_config)
+    return gen, train(gen, build_discriminator(gan_config), pairs, gan_config)
 
 
 def reconstruct_records(generator, shape_dec, sem_net, records, layout):
@@ -225,7 +225,6 @@ class PipelineResult:
     shape_decoder: object
     semantic_net: object
     generator: object
-    discriminator: object
     loss_log: list
     reconstructions: list
     test_records: list
@@ -249,13 +248,12 @@ def run_pipeline(ds: Dataset, gan_config: GanTrainConfig, mode: str = "full",
     shape_dec = fit_shape_decoder(ds, lam=shape_lambda, m=patch_size)
     sem_net = train_semantic(ds, semantic_config, roi_set="HVC",
                              seed=gan_config.seed) if mode == "full" else None
-    gen, disc, loss_log = fit_gan(ds, shape_dec, sem_net, gan_config,
-                                  augment_images)
+    gen, loss_log = fit_gan(ds, shape_dec, sem_net, gan_config, augment_images)
 
     _, recons = reconstruct_records(gen, shape_dec, sem_net, test_recs, ds.layout)
     gts = [ds.stimuli[r.stimulus_id] for r in test_recs]
     report = pairwise_win_rate(recons, gts, runs=runs, seed=gan_config.seed)
-    return PipelineResult(mode, shape_dec, sem_net, gen, disc, loss_log,
+    return PipelineResult(mode, shape_dec, sem_net, gen, loss_log,
                           list(recons), test_recs, report)
 
 

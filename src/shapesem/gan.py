@@ -1,7 +1,9 @@
 """Conditional encoder-decoder GAN fusing decoded shapes and semantics.
 
 The generator is a U-Net built from stride-2 4x4 (de)convolutions with the
-semantic vector broadcast and channel-concatenated at the 1x1 bottleneck.
+semantic vector broadcast and channel-concatenated at the 1x1 bottleneck;
+the conv into the bottleneck and the one out of it keep only the 2x2 taps
+that ever meet the 2x2 level.
 The discriminator scores (shape, image) channel pairs patch-wise.  Training
 alternates one discriminator step and one generator step per batch.
 """
@@ -70,17 +72,26 @@ class GanTrainConfig:
 
     def parameter_count(self) -> int:
         """Parameters of the generator and discriminator, counted without
-        building them: a 4x4 kernel per conv, then per output channel a
+        building them: a k x k kernel per conv, then per output channel a
         scale and a shift where a batch norm follows, else a bias."""
-        return sum(16 * i * o + (2 * o if norm else o)
-                   for i, o, norm in conv_plan(self))
+        return sum(k * k * i * o + (2 * o if norm else o)
+                   for i, o, norm, k, _, _ in conv_plan(self))
+
+
+# (kernel, stride, pad) of a conv that halves or doubles the resolution, of
+# the pair between the 2x2 level and the 1x1 bottleneck, and of D's head
+HALVE, INNERMOST, HEAD = (4, 2, 1), (2, 1, 0), (4, 1, 1)
 
 
 def conv_plan(config: GanTrainConfig):
-    """``(in_channels, out_channels, norm_follows)`` of every 4x4 conv in
-    build order: G's stride-2 encoder, G's transposed decoder (one level
-    each per halving of the resolution), D's three stride-2 convs, then D's
-    stride-1 head.  A conv that a batch norm follows has no bias."""
+    """``(in_channels, out_channels, norm_follows, kernel, stride, pad)`` of
+    every conv in build order: G's encoder, G's transposed decoder (one
+    level each per halving of the resolution), D's three stride-2 convs,
+    then D's head.  A conv that a batch norm follows has no bias.
+
+    G's 2x2 -> 1x1 conv and its 1x1 -> 2x2 transposed conv are the 2x2
+    centre of a stride-2, pad-1 4x4 conv: the other 12 taps of the 4x4 one
+    only meet zero padding, or only write where the crop drops."""
     b = config.base_channels
     depth = config.resolution.bit_length() - 1
     ch = [min(b * 2 ** i, 8 * b) for i in range(depth)]
@@ -88,17 +99,21 @@ def conv_plan(config: GanTrainConfig):
     # the bottleneck joined by the semantics, then each output by its skip
     up_in = [ch[-1] + config.semantic_dim] + [2 * c for c in up[:-1]]
     # no norm on G's first conv, its 1x1 bottleneck or its output
-    enc = [(i, o, 0 < k < depth - 1) for k, (i, o) in enumerate(zip([1] + ch, ch))]
-    dec = [(i, o, k < depth - 1) for k, (i, o) in enumerate(zip(up_in, up))]
-    return enc + dec + [(2, b, False), (b, 2 * b, True), (2 * b, 4 * b, True),
-                        (4 * b, 1, False)]
+    enc = [(i, o, 0 < k < depth - 1, *(INNERMOST if k == depth - 1 else HALVE))
+           for k, (i, o) in enumerate(zip([1] + ch, ch))]
+    dec = [(i, o, k < depth - 1, *(INNERMOST if k == 0 else HALVE))
+           for k, (i, o) in enumerate(zip(up_in, up))]
+    return enc + dec + [(2, b, False, *HALVE), (b, 2 * b, True, *HALVE),
+                        (2 * b, 4 * b, True, *HALVE), (4 * b, 1, False, *HEAD)]
 
 
 def _convs(cls, plan, rng, **norm_kw):
-    """Stride-2 convs for ``plan`` rows, each with its batch norm or None."""
-    convs = [cls(i, o, 4, 2, 1, rng, bias=not norm) for i, o, norm in plan]
-    return convs, [BatchNorm2d(o, **norm_kw) if norm else None
-                   for _, o, norm in plan]
+    """The convs of ``plan`` rows, each with its batch norm or None.  Every
+    kernel is drawn 4x4, so a 2x2 one is the centre of the 4x4 draw."""
+    convs = [cls(i, o, k, stride, pad, rng, bias=not norm, draw=4)
+             for i, o, norm, k, stride, pad in plan]
+    return convs, [BatchNorm2d(row[1], **norm_kw) if row[2] else None
+                   for row in plan]
 
 
 class GeneratorNet(Sequentialish):
@@ -149,11 +164,9 @@ class DiscriminatorNet(Sequentialish):
 
     def __init__(self, config: GanTrainConfig, rng: np.random.Generator):
         self.config = config
-        plan = conv_plan(config)[-4:]
         # D never runs in eval mode, so its norms keep no running statistics
-        self.convs, self.bns = _convs(Conv2d, plan[:3], rng, running=False)
-        i, o, _ = plan[3]
-        self.head = Conv2d(i, o, 4, 1, 1, rng)
+        convs, bns = _convs(Conv2d, conv_plan(config)[-4:], rng, running=False)
+        self.convs, self.bns, self.head = convs[:3], bns[:3], convs[3]
         self.layers = [l for l in self.convs + self.bns + [self.head]
                        if l is not None]
 
@@ -328,20 +341,23 @@ def generate(generator: GeneratorNet, shape_img: np.ndarray,
 
 # -- persistence --------------------------------------------------------
 
-def save_checkpoint(path, generator: GeneratorNet,
-                    discriminator: DiscriminatorNet) -> None:
+# A checkpoint holds what reconstruction reads: the generator's config and
+# its state arrays.  The discriminator only serves training, and nothing
+# resumes training from a checkpoint.
+
+def save_checkpoint(path, generator: GeneratorNet) -> None:
     save_artifact(path, CHECKPOINT_MAGIC, asdict(generator.config),
-                  generator.state_arrays() + discriminator.state_arrays())
+                  generator.state_arrays())
 
 
 def load_checkpoint(path):
+    """(generator in eval mode, its config) from a checkpoint."""
     with open_artifact(path, CHECKPOINT_MAGIC) as (header, arrays):
         config = GanTrainConfig(**header)
         generator = build_generator(config)
-        discriminator = build_discriminator(config)
-        state = generator.state_arrays() + discriminator.state_arrays()
+        state = generator.state_arrays()
         check_shapes(arrays, [arr.shape for arr in state])
         for arr, saved in zip(state, arrays):
             arr[...] = saved
     generator.set_training(False)
-    return generator, discriminator, config
+    return generator, config

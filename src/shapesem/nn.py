@@ -49,14 +49,25 @@ class Linear(Layer):
 
 class Conv2d(Layer):
     """A kernel ``w`` and a per-channel bias ``b``; ``bias=False`` leaves the
-    bias out where a batch norm follows, whose mean subtraction cancels it."""
+    bias out where a batch norm follows, whose mean subtraction cancels it.
+
+    ``w`` has its (out, in, k, k) shape, or (in, out, k, k) for the
+    transposed conv, but its memory is tap-major, ``w.transpose(0, 2, 3, 1)``
+    contiguous, so the conv ops read it as their kernel matrix without a
+    copy.  ``draw`` > ``k`` draws a ``draw`` x ``draw`` kernel at its fan-in
+    and keeps the centre k x k taps."""
 
     transpose = False
 
     def __init__(self, in_ch: int, out_ch: int, k: int, stride: int, pad: int,
-                 rng: np.random.Generator, bias: bool = True):
-        shape = (in_ch, out_ch, k, k) if self.transpose else (out_ch, in_ch, k, k)
-        self.w = Tensor(_uniform(rng, in_ch * k * k, shape), requires_grad=True)
+                 rng: np.random.Generator, bias: bool = True,
+                 draw: int | None = None):
+        d = draw or k
+        shape = (in_ch, out_ch, d, d) if self.transpose else (out_ch, in_ch, d, d)
+        lo = (d - k) // 2
+        w = _uniform(rng, in_ch * d * d, shape)[:, :, lo : lo + k, lo : lo + k]
+        w = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        self.w = Tensor(w, requires_grad=True)
         self.b = (Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
                   if bias else None)
         self.stride, self.pad = stride, pad

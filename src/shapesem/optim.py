@@ -14,16 +14,19 @@ ADAM_EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and the step counter for one parameter."""
+    """First/second moment estimates and the step counter for one parameter.
+    The moments share the parameter's memory layout (a conv kernel is
+    tap-major behind its OIHW shape), so the update walks all of its arrays
+    in one order."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_shape(cls, shape) -> "AdamState":
-        return cls(m=np.zeros(shape, dtype=np.float32),
-                   v=np.zeros(shape, dtype=np.float32))
+    def for_param(cls, data: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(data, dtype=np.float32),
+                   v=np.zeros_like(data, dtype=np.float32))
 
 
 def adam_update(param: Tensor, grad: np.ndarray, state: AdamState,
@@ -32,7 +35,7 @@ def adam_update(param: Tensor, grad: np.ndarray, state: AdamState,
     """One in-place Adam step on ``param.data``; increments ``state.t``.
 
     ``state.m`` and ``state.v`` are updated in place and the step is built in
-    two float32 buffers the size of the parameter, so the update makes no
+    two float32 buffers laid out like the parameter, so the update makes no
     other temporaries.  With Python-float hyperparameters the float32
     operations and their order are those of the textbook form
     ``param -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS)``, so the results are
@@ -44,8 +47,8 @@ def adam_update(param: Tensor, grad: np.ndarray, state: AdamState,
                              % (grad.shape, param.data.shape))
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient; update refused")
-    a = np.empty(grad.shape, np.float32)
-    b = np.empty(grad.shape, np.float32)
+    a = np.empty_like(param.data)
+    b = np.empty_like(param.data)
     m, v = state.m, state.v
     state.t += 1
     np.multiply(m, beta1, out=m)  # m = beta1 * m + (1 - beta1) * g
@@ -73,7 +76,7 @@ class Adam:
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.states = [AdamState.for_shape(p.shape) for p in self.params]
+        self.states = [AdamState.for_param(p.data) for p in self.params]
 
     def step(self):
         for p, s in zip(self.params, self.states):

@@ -328,7 +328,12 @@ def tmean(a) -> Tensor:
 # -- convolution --------------------------------------------------------
 # Each conv is plain GEMMs over one im2col matrix (Chellapilla et al. 2006).
 # Both _im2col and _col2im pad into a channels-last (N, H, W, C) buffer, and
-# conv outputs are NCHW views of channels-last memory.
+# conv outputs are NCHW views of channels-last memory.  Windows are laid out
+# tap-major, (i, j, c), so every window copy and every tap slab reads runs of
+# C contiguous floats.  The kernel matrix is ``kernels`` in the same order,
+# ``transpose(0, 2, 3, 1)``: a free view of a kernel stored tap-major behind
+# its OIHW shape, as ``nn.Conv2d`` stores it, and a copy of any other.
+
 
 def _check_stride_pad(stride, pad):
     if stride < 1 or pad < 0:
@@ -346,9 +351,33 @@ def _check_conv_geom(h, w, kh, kw, stride, pad):
     return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
+def _check_operands(name, x, kernels, kin_axis):
+    """DimensionError unless ``x`` is (N, C, H, W) and ``kernels`` 4-d with
+    C channels on ``kin_axis``."""
+    if x.data.ndim != 4 or kernels.data.ndim != 4:
+        raise DimensionError("%s expects (N, C, H, W) input and 4-d kernels"
+                             % name)
+    cin, kcin = x.shape[1], kernels.shape[kin_axis]
+    if cin != kcin:
+        raise DimensionError("input has %d channels, kernels expect %d" % (cin, kcin))
+
+
+def _kernel_matrix(kernels):
+    """The (kernels.shape[0], kh*kw*C) matrix of a 4-d kernel in tap-major
+    column order."""
+    return kernels.transpose(0, 2, 3, 1).reshape(kernels.shape[0], -1)
+
+
+def _kernel_grad(mat, shape):
+    """A kernel-matrix gradient as an OIHW-shaped view of its tap-major
+    memory, the layout ``nn.Conv2d`` stores its kernels in."""
+    o, c, kh, kw = shape
+    return mat.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+
+
 def _im2col(x, kh, kw, stride, pad):
     """Windows of the zero-padded (N,C,H,W) input as one C-ordered
-    (N*Ho*Wo, C*kh*kw) matrix: rows in (n, y, x), columns in (c, i, j) order."""
+    (N*Ho*Wo, kh*kw*C) matrix: rows in (n, y, x), columns in (i, j, c) order."""
     n, c, h, w = x.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
@@ -356,28 +385,26 @@ def _im2col(x, kh, kw, stride, pad):
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     sn, sh, sw, sc = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (n, ho, wo, c, kh, kw),
-        (sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
-    return win.reshape(n * ho * wo, c * kh * kw)
+        xp, (n, ho, wo, kh, kw, c),
+        (sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return win.reshape(n * ho * wo, kh * kw * c)
 
 
-def _col2im(kernels, g_rows, out_shape, stride, pad):
-    """Adjoint of _im2col applied to ``g_rows @ kernels``: ``g_rows`` is the
-    (N*Ho*Wo, O) matrix and ``kernels`` (O, C, kh, kw).  The one GEMM gives
-    the window gradients in _im2col's layout, and each tap's (N, Ho, Wo, C)
-    slab is added onto a zeroed, padded canvas.  Returns an (N, C, H, W)
-    view.  The kernels are never copied: at batch 1 their copy cost more
-    than the GEMM."""
-    o, c, kh, kw = kernels.shape
-    n, _, h, w = out_shape
+def _col2im(kmat, g_rows, out_shape, kh, kw, stride, pad):
+    """Adjoint of _im2col applied to ``g_rows @ kmat``: ``g_rows`` is the
+    (N*Ho*Wo, O) matrix and ``kmat`` the (O, kh*kw*C) kernel matrix.  The
+    one GEMM gives the window gradients in _im2col's layout, and each tap's
+    (N, Ho, Wo, C) slab is added onto a zeroed, padded canvas.  Returns an
+    (N, C, H, W) view."""
+    n, c, h, w = out_shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    gcols = (g_rows @ kernels.reshape(o, -1)).reshape(n, ho, wo, c, kh, kw)
+    gcols = (g_rows @ kmat).reshape(n, ho, wo, kh, kw, c)
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
             xp[:, i : i + (ho - 1) * stride + 1 : stride,
-               j : j + (wo - 1) * stride + 1 : stride] += gcols[..., i, j]
+               j : j + (wo - 1) * stride + 1 : stride] += gcols[:, :, :, i, j]
     return xp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
@@ -392,63 +419,56 @@ def _nchw(mat, n, h, w):
 
 
 def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
-    """Strided cross-correlation.  Input (N,Cin,H,W) or (Cin,H,W); kernels
+    """Strided cross-correlation.  Input (N,Cin,H,W); kernels
     (Cout,Cin,kh,kw).  Zero padding; no kernel flip."""
     x, kernels = _as_tensor(x), _as_tensor(kernels)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernels.data.ndim != 4:
-        raise DimensionError("conv2d expects 3/4-d input and 4-d kernels")
-    n, cin, h, w = xd.shape
-    cout, kcin, kh, kw = kernels.shape
-    if cin != kcin:
-        raise DimensionError("input has %d channels, kernels expect %d" % (cin, kcin))
+    _check_operands("conv2d", x, kernels, 1)
+    n, _, h, w = x.shape
+    _, _, kh, kw = kernels.shape
     ho, wo = _check_conv_geom(h, w, kh, kw, stride, pad)
-    cols = _im2col(xd, kh, kw, stride, pad)
-    out = _nchw(cols @ kernels.data.reshape(cout, -1).T, n, ho, wo)
+    kmat = _kernel_matrix(kernels.data)
+    cols = _im2col(x.data, kh, kw, stride, pad)
+    out = _nchw(cols @ kmat.T, n, ho, wo)
     if not kernels.requires_grad:
         cols = None  # only the kernel gradient reads the windows
 
     def bwd(g):
-        g_rows = _rows(g[None] if squeeze else g)
+        g_rows = _rows(g)
         if kernels.requires_grad:
-            kernels.accum_grad((g_rows.T @ cols).reshape(kernels.shape), own=True)
+            kernels.accum_grad(_kernel_grad(g_rows.T @ cols, kernels.shape),
+                               own=True)
         if x.requires_grad:
-            gx = _col2im(kernels.data, g_rows, xd.shape, stride, pad)
-            x.accum_grad(gx[0] if squeeze else gx, own=True)
+            x.accum_grad(_col2im(kmat, g_rows, x.shape, kh, kw, stride, pad),
+                         own=True)
 
-    return _make(out[0] if squeeze else out, (x, kernels), bwd)
+    return _make(out, (x, kernels), bwd)
 
 
 def conv2d_transpose(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
     """Transposed convolution, the exact adjoint of ``conv2d``.  Input
-    (N,Cin,H,W) or (Cin,H,W); kernels (Cin,Cout,kh,kw)."""
+    (N,Cin,H,W); kernels (Cin,Cout,kh,kw)."""
     x, kernels = _as_tensor(x), _as_tensor(kernels)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernels.data.ndim != 4:
-        raise DimensionError("conv2d_transpose expects 3/4-d input and 4-d kernels")
-    n, cin, h, w = xd.shape
-    kcin, cout, kh, kw = kernels.shape
-    if cin != kcin:
-        raise DimensionError("input has %d channels, kernels expect %d" % (cin, kcin))
+    _check_operands("conv2d_transpose", x, kernels, 0)
+    n, _, h, w = x.shape
+    _, cout, kh, kw = kernels.shape
     _check_stride_pad(stride, pad)
     ho = (h - 1) * stride - 2 * pad + kh
     wo = (w - 1) * stride - 2 * pad + kw
     if ho <= 0 or wo <= 0:
         raise DimensionError("non-positive transposed-conv output size")
-    x_rows = _rows(xd)
-    out = _col2im(kernels.data, x_rows, (n, cout, ho, wo), stride, pad)
+    kmat = _kernel_matrix(kernels.data)
+    x_rows = _rows(x.data)
+    out = _col2im(kmat, x_rows, (n, cout, ho, wo), kh, kw, stride, pad)
 
     def bwd(g):
-        cols = _im2col(g[None] if squeeze else g, kh, kw, stride, pad)
+        cols = _im2col(g, kh, kw, stride, pad)
         if x.requires_grad:
-            gx = _nchw(cols @ kernels.data.reshape(cin, -1).T, n, h, w)
-            x.accum_grad(gx[0] if squeeze else gx, own=True)
+            x.accum_grad(_nchw(cols @ kmat.T, n, h, w), own=True)
         if kernels.requires_grad:
-            kernels.accum_grad((x_rows.T @ cols).reshape(kernels.shape), own=True)
+            kernels.accum_grad(_kernel_grad(x_rows.T @ cols, kernels.shape),
+                               own=True)
 
-    return _make(out[0] if squeeze else out, (x, kernels), bwd)
+    return _make(out, (x, kernels), bwd)
 
 
 # -- batch normalization ------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -89,16 +90,34 @@ class TestConfigParsing:
         ("evaluate", "runs", "2", 2),
         ("evaluate", "metric", "shape", "shape"),
         ("train-gan", "mode", "no_semantics", "no_semantics"),
+        ("train-gan", "seed", "3", 3),
     ])
-    def test_flag_resolves_as_set(self, cmd, key, value, expected):
-        """A flag is the same key = value item as --set, converted by the
-        same converter."""
+    def test_flag_resolves_as_set(self, cmd, key, value, expected, tmp_path):
+        """A flag is the same key = value item as --set or a config-file
+        line, converted by the same converter; a command that needs a seed
+        takes it from any of the three."""
         parse = build_parser().parse_args
-        seed = ["--seed", "1"] if cmd == "train-gan" else []
+        seed = ["--seed", "1"] if cmd == "train-gan" and key != "seed" else []
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s = %s\n" % (key, value))
         by_flag = resolve_config(parse([cmd, *seed, "--" + key, value]))
         by_set = resolve_config(parse([cmd, *seed, "--set", key + "=" + value]))
-        assert by_flag == by_set
+        by_file = resolve_config(parse([cmd, *seed, "--config", str(cfg)]))
+        assert by_flag == by_set == by_file
         assert by_flag[key] == expected
+
+    def test_seed_key_required(self, tmp_path, capsys):
+        """simulate, the train commands and ablate exit 1 naming the seed
+        key when no flag, --set item or config line gives it, and make no
+        directory; given only as --set, it is the run's seed."""
+        out = tmp_path / "d"
+        assert run_cli("simulate", "--out", str(out), *SIM_SMALL) == 1
+        assert "seed key is required" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("simulate", "--set", "seed=3", "--out", str(out),
+                       *SIM_SMALL) == 0
+        doc = json.loads((out / "run_manifest_simulate.json").read_text())
+        assert doc["seed"] == 3
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("simulate", "--seed", "1", "--out", str(tmp_path / "d"),
@@ -360,17 +379,18 @@ def test_wrong_tensors_name_file(tiny_model, tmp_path, capsys, name, damage):
 
 def test_checkpoint_with_pre_norm_biases_names_file(tiny_model, tmp_path,
                                                    capsys):
-    """A gan.ckpt in the old layout, with a bias after each kernel that
-    feeds a batch norm (seven at resolution 16, nine at 32), exits 1 naming
-    the file; such a checkpoint has to be retrained."""
-    from shapesem.gan import CHECKPOINT_MAGIC, load_checkpoint
+    """A gan.ckpt in an old layout, D's arrays after G's and a bias after
+    each kernel that feeds a batch norm (seven at resolution 16, nine at
+    32), exits 1 naming the file; such a checkpoint has to be retrained."""
+    from shapesem.gan import CHECKPOINT_MAGIC, build_discriminator, load_checkpoint
     from shapesem.nn import Conv2d
     from shapesem.serial import open_artifact, save_artifact
 
     ds, art = tiny_model
     out = tmp_path / "art"
     shutil.copytree(art, out)
-    gen, disc, _ = load_checkpoint(out / "gan.ckpt")
+    gen, cfg = load_checkpoint(out / "gan.ckpt")
+    disc = build_discriminator(cfg)
     with open_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC) as (header, new):
         pass
     old = []
@@ -379,7 +399,7 @@ def test_checkpoint_with_pre_norm_biases_names_file(tiny_model, tmp_path,
         if isinstance(layer, Conv2d) and layer.b is None:
             out_ch = layer.w.shape[1 if layer.transpose else 0]
             old.append(np.zeros(out_ch, dtype=np.float32))
-    assert len(old) == len(new) + 7
+    assert len(old) == len(new) + len(disc.state_arrays()) + 7
     save_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC, header, old)
     assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -389,17 +409,18 @@ def test_checkpoint_with_pre_norm_biases_names_file(tiny_model, tmp_path,
 def test_checkpoint_with_discriminator_running_stats_names_file(tiny_model,
                                                                 tmp_path,
                                                                 capsys):
-    """A gan.ckpt in the old layout, with a running mean and variance after
-    each of the discriminator's two norms, exits 1 naming the file; such a
-    checkpoint has to be retrained."""
-    from shapesem.gan import CHECKPOINT_MAGIC, load_checkpoint
+    """A gan.ckpt in an old layout, D's arrays after G's with a running mean
+    and variance after each of D's two norms, exits 1 naming the file; such
+    a checkpoint has to be retrained."""
+    from shapesem.gan import CHECKPOINT_MAGIC, build_discriminator, load_checkpoint
     from shapesem.nn import BatchNorm2d
     from shapesem.serial import open_artifact, save_artifact
 
     ds, art = tiny_model
     out = tmp_path / "art"
     shutil.copytree(art, out)
-    gen, disc, _ = load_checkpoint(out / "gan.ckpt")
+    gen, cfg = load_checkpoint(out / "gan.ckpt")
+    disc = build_discriminator(cfg)
     with open_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC) as (header, new):
         pass
     old = gen.state_arrays()
@@ -409,11 +430,39 @@ def test_checkpoint_with_discriminator_running_stats_names_file(tiny_model,
             assert layer.running_mean is None
             ch = layer.gamma.shape[0]
             old += [np.zeros(ch, dtype=np.float32), np.ones(ch, dtype=np.float32)]
-    assert len(old) == len(new) + 4
+    assert len(old) == len(new) + len(disc.state_arrays()) + 4
     save_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC, header, old)
     assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "gan.ckpt" in err and "%d tensors" % len(old) in err
+
+
+def test_checkpoint_with_discriminator_names_file(tiny_model, tmp_path, capsys):
+    """A gan.ckpt in the older layout, D's arrays after G's, exits 1
+    naming the file; a checkpoint now holds G's arrays alone."""
+    from shapesem.gan import CHECKPOINT_MAGIC, build_discriminator, load_checkpoint
+    from shapesem.serial import save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    gen, cfg = load_checkpoint(out / "gan.ckpt")
+    old = gen.state_arrays() + build_discriminator(cfg).state_arrays()
+    save_artifact(out / "gan.ckpt", CHECKPOINT_MAGIC,
+                  dataclasses.asdict(cfg), old)
+    assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "gan.ckpt" in err and "%d tensors" % len(old) in err
+
+
+def test_missing_model_file_names_it(tiny_model, tmp_path, capsys):
+    """reconstruct without shape_decoder.shd exits 1 naming its path."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    (out / "shape_decoder.shd").unlink()
+    assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 1
+    assert str(out / "shape_decoder.shd") in capsys.readouterr().err
 
 
 def test_oversized_tensor_payload_names_file(tiny_model, tmp_path, capsys):

@@ -53,12 +53,13 @@ class TestConfig:
         array's shape is written out here: G's encoder kernels and the
         first conv's and bottleneck's biases, its norms, the decoder
         kernels and output bias, its norms; then D's kernels, first bias,
-        norms, and head."""
+        norms, and head.  The conv into the 1x1 bottleneck and the first
+        decoder conv keep 2x2 taps."""
         cfg = GanTrainConfig(resolution=16, base_channels=2, semantic_dim=3)
-        k = 4, 4
-        gen = [(2, 1, *k), (2,), (4, 2, *k), (8, 4, *k), (16, 8, *k), (16,),
+        k, inner = (4, 4), (2, 2)
+        gen = [(2, 1, *k), (2,), (4, 2, *k), (8, 4, *k), (16, 8, *inner), (16,),
                *[(4,)] * 4, *[(8,)] * 4,
-               (19, 8, *k), (16, 4, *k), (8, 2, *k), (4, 1, *k), (1,),
+               (19, 8, *inner), (16, 4, *k), (8, 2, *k), (4, 1, *k), (1,),
                *[(8,)] * 4, *[(4,)] * 4, *[(2,)] * 4]
         disc = [(2, 2, *k), (2,), (4, 2, *k), (8, 4, *k),
                 (4,), (4,), (8,), (8,), (1, 8, *k), (1,)]
@@ -327,7 +328,7 @@ def _reference_train(generator, discriminator, pairs, config):
     class AllocatingAdam:
         def __init__(self, params):
             self.params = list(params)
-            self.states = [AdamState.for_shape(p.shape) for p in self.params]
+            self.states = [AdamState.for_param(p.data) for p in self.params]
             self.lr = config.lr
 
         def step(self):
@@ -451,9 +452,9 @@ class TestCheckpoint:
         disc = build_discriminator(cfg)
         train(gen, disc, pairs, cfg)
         path = tmp_path / "model.gan"
-        save_checkpoint(path, gen, disc)
+        save_checkpoint(path, gen)
         assert path.read_bytes()[:4] == b"GAN1"
-        gen2, disc2, cfg2 = load_checkpoint(path)
+        gen2, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
         a = generate(gen, pairs[0][0], pairs[0][1])
         b = generate(gen2, pairs[0][0], pairs[0][1])
@@ -485,3 +486,96 @@ def test_gradient_flow_single_level_generator():
         fd = _numeric_grad(lambda: float(forward().data), p.data)
         denom = np.maximum(1.0, np.abs(fd))
         assert np.max(np.abs(p.grad - fd) / denom) < 1e-3
+
+
+def _full_tap_generator(cfg, monkeypatch):
+    """G as built from the plan where every G conv is a stride-2, pad-1 4x4
+    one, the innermost pair among them."""
+    from shapesem import gan
+
+    plan = gan.conv_plan(cfg)
+    g_rows = len(plan) - 4
+    full = [row[:3] + gan.HALVE if i < g_rows else row
+            for i, row in enumerate(plan)]
+    with monkeypatch.context() as mp:
+        mp.setattr(gan, "conv_plan", lambda config: full)
+        return build_generator(cfg)
+
+
+def _generator_pass(gen, x, sem, weights):
+    """Training-mode output and the gradients of <output, weights> for the
+    input, the semantics and every parameter of ``gen``."""
+    xt = Tensor(x, requires_grad=True)
+    st = Tensor(sem, requires_grad=True) if sem is not None else None
+    gen.set_training(True)
+    out = gen.forward(xt, st)
+    T.tsum(out * Tensor(weights)).backward()
+    grads = [xt.grad] + ([st.grad] if st is not None else [])
+    return out.data, grads + [p.grad for p in gen.parameters()]
+
+
+@pytest.mark.parametrize("sem_dim", [0, 8, 64])
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_live_tap_generator_matches_full_tap_oracle(resolution, sem_dim,
+                                                    monkeypatch):
+    """G with 2x2 kernels into and out of the bottleneck draws the rng
+    stream of the 4x4 plan, and at equal live weights it gives that G's
+    output and every gradient within 1e-5 relative; the 12 border taps of
+    the 4x4 pair get exactly zero gradient."""
+    cfg = GanTrainConfig(resolution=resolution, base_channels=2,
+                         semantic_dim=sem_dim)
+    gen, ref = build_generator(cfg), _full_tap_generator(cfg, monkeypatch)
+    pairs = list(zip(gen.parameters(), ref.parameters()))
+    inner = [(p, q) for p, q in pairs if p.shape != q.shape]
+    assert len(inner) == 2
+    rng = np.random.default_rng(resolution + sem_dim)
+    for p, q in pairs:
+        if p.shape == q.shape:
+            assert p.data.tobytes() == q.data.tobytes()
+            if p.data.ndim == 1:  # norm scales and shifts, biases: not 1, 0
+                p.data[...] = q.data[...] = rng.uniform(0.5, 1.5, p.shape)
+        else:
+            assert p.shape[2:] == (2, 2) and q.shape[2:] == (4, 4)
+            assert np.array_equal(p.data, q.data[:, :, 1:3, 1:3])
+    x = rng.random((3, 1, resolution, resolution), dtype=np.float32)
+    sem = rng.standard_normal((3, sem_dim)).astype(np.float32) if sem_dim else None
+    weights = rng.standard_normal((3, 1, resolution, resolution)).astype(np.float32)
+    out, grads = _generator_pass(gen, x, sem, weights)
+    ref_out, ref_grads = _generator_pass(ref, x, sem, weights)
+    for p, q in inner:
+        border = q.grad.copy()
+        border[:, :, 1:3, 1:3] = 0
+        assert not border.any()
+    n_in = len(grads) - len(pairs)
+    ref_grads = ref_grads[:n_in] + [q.grad[:, :, 1:3, 1:3] if p.shape != q.shape
+                                    else q.grad for p, q in pairs]
+    for new, old in zip([out] + grads, [ref_out] + ref_grads):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-5 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("resolution, sem_dim", [(32, 0), (32, 8), (64, 0)])
+def test_every_parameter_gets_a_gradient(resolution, sem_dim):
+    """Every scalar of G's and D's parameters gets a nonzero gradient for
+    some model seed and random batch: no weight is dead by the geometry.
+    (A relu unit may be dead for one seed's weights; a tap that only meets
+    padding is dead for all.)"""
+    live = None
+    rng = np.random.default_rng(resolution + sem_dim)
+    for seed in range(8):
+        cfg = GanTrainConfig(resolution=resolution, base_channels=2,
+                             semantic_dim=sem_dim, seed=seed)
+        gen, disc = build_generator(cfg), build_discriminator(cfg)
+        params = gen.parameters() + disc.parameters()
+        if live is None:
+            live = [np.zeros(p.shape, dtype=bool) for p in params]
+        x = Tensor(rng.random((4, 1, resolution, resolution), dtype=np.float32))
+        y = rng.random((4, 1, resolution, resolution), dtype=np.float32)
+        sem = (Tensor(rng.standard_normal((4, sem_dim)).astype(np.float32))
+               if sem_dim else None)
+        gen.set_training(True)
+        fake = gen.forward(x, sem)
+        generator_loss(disc.forward(x, fake), fake, y, 1.0)[0].backward()
+        for seen, p in zip(live, params):
+            seen |= p.grad != 0
+    assert all(seen.all() for seen in live)

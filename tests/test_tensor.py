@@ -11,47 +11,56 @@ from shapesem.tensor import Tensor
 
 
 def test_conv2d_scalar_kernel():
-    x = Tensor(np.ones((1, 2, 2), dtype=np.float32))
+    x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     k = Tensor(np.array([[[[2.0]]]], dtype=np.float32))
     out = T.conv2d(x, k, stride=1, pad=0)
     assert np.allclose(out.data, 2.0)
-    assert out.shape == (1, 2, 2)
+    assert out.shape == (1, 1, 2, 2)
 
 
 def test_conv2d_sum_kernel():
-    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
+    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
     k = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     out = T.conv2d(x, k, stride=1, pad=0)
     assert out.data.reshape(-1)[0] == pytest.approx(10.0)
 
 
 def test_conv2d_size_formula():
-    x = Tensor(np.zeros((1, 256, 256), dtype=np.float32))
+    x = Tensor(np.zeros((1, 1, 256, 256), dtype=np.float32))
     k = Tensor(np.zeros((3, 1, 4, 4), dtype=np.float32))
     out = T.conv2d(x, k, stride=2, pad=1)
-    assert out.shape == (3, 128, 128)
+    assert out.shape == (1, 3, 128, 128)
 
 
 def test_conv2d_channel_mismatch():
-    x = Tensor(np.zeros((2, 4, 4), dtype=np.float32))
+    x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
     k = Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32))
     with pytest.raises(DimensionError):
         T.conv2d(x, k, 1, 0)
 
 
+@pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose])
+def test_conv_rejects_unbatched_input(op):
+    """A (C, H, W) input is refused: the convs take (N, C, H, W) only."""
+    x = Tensor(np.ones((1, 4, 4), dtype=np.float32))
+    k = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
+    with pytest.raises(DimensionError, match=r"\(N, C, H, W\)"):
+        op(x, k, 1, 0)
+
+
 def test_conv2d_transpose_scatter():
-    x = Tensor(np.array([[[1.0]]], dtype=np.float32))
+    x = Tensor(np.array([[[[1.0]]]], dtype=np.float32))
     k = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     out = T.conv2d_transpose(x, k, stride=2, pad=0)
-    assert out.shape == (1, 2, 2)
+    assert out.shape == (1, 1, 2, 2)
     assert np.allclose(out.data, 1.0)
 
 
 def test_conv2d_transpose_size_formula():
-    x = Tensor(np.zeros((1, 128, 128), dtype=np.float32))
+    x = Tensor(np.zeros((1, 1, 128, 128), dtype=np.float32))
     k = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
     out = T.conv2d_transpose(x, k, stride=2, pad=1)
-    assert out.shape == (2, 256, 256)
+    assert out.shape == (1, 2, 256, 256)
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 1)])
@@ -198,7 +207,7 @@ def test_batch_norm_finite_difference():
 
 def test_adam_zero_grad_keeps_param():
     p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
-    st = AdamState.for_shape(p.shape)
+    st = AdamState.for_param(p.data)
     adam_update(p, np.zeros(2), st, lr=0.1)
     assert st.t == 1
     assert np.allclose(p.data, [1.0, -2.0])
@@ -208,14 +217,14 @@ def test_adam_first_step_is_signed_lr():
     lr = 0.01
     for g in (0.3, -4.0):
         p = Tensor(np.array([0.0], dtype=np.float32), requires_grad=True)
-        st = AdamState.for_shape(p.shape)
+        st = AdamState.for_param(p.data)
         adam_update(p, np.array([g]), st, lr=lr)
         assert p.data[0] == pytest.approx(-lr * np.sign(g), abs=lr * 1e-4)
 
 
 def test_adam_rejects_nonfinite_grad():
     p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    st = AdamState.for_shape(p.shape)
+    st = AdamState.for_param(p.data)
     with pytest.raises(NumericalError):
         adam_update(p, np.array([np.nan]), st)
     assert p.data[0] == 1.0
@@ -224,7 +233,7 @@ def test_adam_rejects_nonfinite_grad():
 
 def test_adam_nonfinite_grad_leaves_moments_untouched():
     p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-    st = AdamState.for_shape(p.shape)
+    st = AdamState.for_param(p.data)
     adam_update(p, np.array([0.5, -1.0]), st, lr=0.1)
     before = (p.data.copy(), st.m.copy(), st.v.copy(), st.t)
     for bad in (np.nan, np.inf):
@@ -262,9 +271,9 @@ def test_adam_step_matches_textbook_update():
     shared = [Tensor(a.copy(), requires_grad=True) for a in init]
     opt = Adam(shared, lr=1e-3)
     alone = [Tensor(a.copy(), requires_grad=True) for a in init]
-    alone_states = [AdamState.for_shape(a.shape) for a in init]
+    alone_states = [AdamState.for_param(a) for a in init]
     textbook = [Tensor(a.copy(), requires_grad=True) for a in init]
-    textbook_states = [AdamState.for_shape(a.shape) for a in init]
+    textbook_states = [AdamState.for_param(a) for a in init]
     for step, gs in enumerate(grads):
         lr = 1e-3 * (5 - step) / 5
         opt.lr = lr
@@ -313,12 +322,12 @@ def _frozen_operand_case(op, shapes, frozen, monkeypatch):
 @pytest.mark.parametrize("op, shapes", [
     pytest.param(lambda x, k: T.conv2d(x, k, 2, 1), [(2, 3, 8, 8), (4, 3, 4, 4)],
                  id="conv2d"),
-    pytest.param(lambda x, k: T.conv2d(x, k, 1, 0), [(3, 5, 5), (2, 3, 3, 3)],
+    pytest.param(lambda x, k: T.conv2d(x, k, 1, 0), [(1, 3, 5, 5), (2, 3, 3, 3)],
                  id="conv2d_unbatched"),
     pytest.param(lambda x, k: T.conv2d_transpose(x, k, 2, 1),
                  [(2, 4, 4, 4), (4, 3, 4, 4)], id="conv2d_transpose"),
     pytest.param(lambda x, k: T.conv2d_transpose(x, k, 2, 1),
-                 [(4, 2, 2), (4, 3, 4, 4)], id="conv2d_transpose_unbatched"),
+                 [(1, 4, 2, 2), (4, 3, 4, 4)], id="conv2d_transpose_unbatched"),
     pytest.param(T.matmul, [(6, 5), (5, 3)], id="matmul"),
 ])
 @pytest.mark.parametrize("frozen", [0, 1], ids=["input_frozen", "weight_frozen"])
@@ -464,7 +473,7 @@ _TEST_GEOMETRIES = [
 ]
 
 
-@pytest.mark.parametrize("batch", [10, 1, None], ids=["batch10", "batch1", "3d"])
+@pytest.mark.parametrize("batch", [10, 1], ids=["batch10", "batch1"])
 def test_conv_matches_einsum_reference(batch):
     """Forward, input gradient and kernel gradient of both convs equal the
     einsum reference to 1e-5 of its largest magnitude, on every GAN level
@@ -474,18 +483,15 @@ def test_conv_matches_einsum_reference(batch):
     assert any(k[0] == 1 and name == "conv2d" for name, _, k, _, _ in cases)
     rng = np.random.default_rng(17)
     for name, x_shape, k_shape, stride, pad in cases:
-        x4 = rng.standard_normal((batch or 1,) + x_shape[1:]).astype(np.float32)
+        xd = rng.standard_normal((batch,) + x_shape[1:]).astype(np.float32)
         k = rng.standard_normal(k_shape).astype(np.float32)
-        x = Tensor(x4 if batch else x4[0], requires_grad=True)
+        x = Tensor(xd, requires_grad=True)
         kt = Tensor(k, requires_grad=True)
         out = getattr(T, name)(x, kt, stride, pad)
         g = rng.standard_normal(out.shape).astype(np.float32)
         T.tsum(out * Tensor(g)).backward()
-        g4 = g if batch else g[None]
-        ref_out, ref_gx, ref_gk = refs[name](x4, k, g4, stride, pad)
-        got = (out.data if batch else out.data[None],
-               x.grad if batch else x.grad[None], kt.grad)
-        for new, ref in zip(got, (ref_out, ref_gx, ref_gk)):
+        refs_got = refs[name](xd, k, g, stride, pad)
+        for new, ref in zip((out.data, x.grad, kt.grad), refs_got):
             assert new.dtype == np.float32 and new.shape == ref.shape
             err = np.max(np.abs(new - ref))
             assert err <= 1e-5 * np.max(np.abs(ref)), (name, x_shape, k_shape, err)
@@ -723,3 +729,36 @@ def test_fused_norm_bytes_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["conv2d",
+                                                          "conv2d_transpose"])
+def test_conv_kernel_memory_is_tap_major(transpose):
+    """A layer's kernel keeps its OIHW shape over tap-major memory; a conv
+    on it gives the bytes of a conv on a C-ordered copy, its gradient comes
+    back in its layout, and Adam keeps its moments in that layout too."""
+    from shapesem.nn import Conv2d, ConvTranspose2d
+    from shapesem.optim import Adam
+
+    rng = np.random.default_rng(8)
+    layer = (ConvTranspose2d if transpose else Conv2d)(3, 5, 4, 2, 1, rng)
+    w = layer.w.data
+    assert w.shape == ((3, 5, 4, 4) if transpose else (5, 3, 4, 4))
+    assert w.transpose(0, 2, 3, 1).flags.c_contiguous
+    op = T.conv2d_transpose if transpose else T.conv2d
+    x = rng.standard_normal((2, 3, 4, 4) if transpose else (2, 3, 8, 8))
+    g = None
+    runs = []
+    for kernel in (w, np.ascontiguousarray(w)):
+        xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+        out = op(xt, kt, 2, 1)
+        if g is None:
+            g = rng.standard_normal(out.shape).astype(np.float32)
+        T.tsum(out * Tensor(g)).backward()
+        assert kt.grad.shape == w.shape
+        assert kt.grad.transpose(0, 2, 3, 1).flags.c_contiguous
+        runs.append([np.ascontiguousarray(a).tobytes()
+                     for a in (out.data, xt.grad, kt.grad)])
+    assert runs[0] == runs[1]
+    state = Adam([layer.w]).states[0]
+    assert state.m.strides == state.v.strides == w.strides
