@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, LayoutError
+from .nn import MAX_PARAMETERS
 from .patches import extract_patch_features
 from .serial import check_shapes, open_artifact, save_artifact
 
@@ -238,6 +239,7 @@ def load_dataset(root) -> Dataset:
             if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
                 raise ValueError("stimulus_id %r is not a plain file name" % sid)
         categories = list(manifest["categories"])
+        size = int(manifest["image_size"])
     except OSError as exc:
         raise DataError("cannot read manifest: %s" % exc)
     except (ValueError, TypeError, KeyError) as exc:
@@ -247,9 +249,14 @@ def load_dataset(root) -> Dataset:
     records = [TrialRecord(*m, voxels) for m, voxels in zip(meta, rows)]
     stimuli, masks = {}, {}
     for sid, *_ in meta:
-        if sid not in stimuli:
-            stimuli[sid] = read_pgm(root / "stimuli" / (sid + ".pgm"))
-            masks[sid] = read_pgm(root / "masks" / (sid + ".pgm"))
+        if sid in stimuli:
+            continue
+        for folder, images in (("stimuli", stimuli), ("masks", masks)):
+            pgm = root / folder / (sid + ".pgm")
+            img = images[sid] = read_pgm(pgm)
+            if img.shape != (size, size):
+                raise DataError("%s is %dx%d, but the manifest's image_size "
+                                "is %d" % (pgm, img.shape[1], img.shape[0], size))
     try:
         return Dataset(layout, records, stimuli, masks, categories)
     except DataError as exc:
@@ -260,41 +267,31 @@ def load_dataset(root) -> Dataset:
 
 def average_test_trials(ds: Dataset) -> Dataset:
     """Collapse repeated test trials of one stimulus into their mean."""
-    order = []
-    groups = {}
+    groups = {}  # in the order of each stimulus's first test trial
     for r in ds.records:
-        if r.split != "test":
-            continue
-        if r.stimulus_id not in groups:
-            order.append(r.stimulus_id)
-            groups[r.stimulus_id] = []
-        groups[r.stimulus_id].append(r)
+        if r.split == "test":
+            groups.setdefault(r.stimulus_id, []).append(r)
     new_records = [r for r in ds.records if r.split == "train"]
-    for sid in order:
-        trials = groups[sid]
+    for sid, trials in groups.items():
         mean = np.mean([t.voxels for t in trials], axis=0, dtype=np.float64)
         new_records.append(TrialRecord(sid, trials[0].category_id, "test", 0,
                                        mean.astype(np.float32)))
     return replace(ds, records=new_records)
 
 
-def binarize_mask(image: np.ndarray, threshold="auto") -> np.ndarray:
-    """Threshold a [0,1] grayscale image to a {0,1} mask.
-
-    ``threshold="auto"`` uses Otsu's method on a 256-bin histogram.  A
-    constant image under auto thresholding yields an all-background mask and
-    a RuntimeWarning rather than an error.
+def binarize_mask(image: np.ndarray) -> np.ndarray:
+    """Threshold a [0,1] grayscale image to a {0,1} mask at its Otsu
+    threshold on a 256-bin histogram.  A constant image yields an
+    all-background mask and a RuntimeWarning rather than an error.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.min() < 0 or image.max() > 1:
         raise DataError("image values must lie in [0, 1]")
-    if threshold == "auto":
-        if image.max() == image.min():
-            warnings.warn("constant image: auto threshold yields empty mask",
-                          RuntimeWarning)
-            return np.zeros_like(image, dtype=np.float32)
-        threshold = otsu_threshold(image)
-    return (image >= float(threshold)).astype(np.float32)
+    if image.max() == image.min():
+        warnings.warn("constant image: Otsu threshold yields empty mask",
+                      RuntimeWarning)
+        return np.zeros_like(image, dtype=np.float32)
+    return (image >= otsu_threshold(image)).astype(np.float32)
 
 
 def otsu_threshold(image: np.ndarray) -> float:
@@ -347,10 +344,21 @@ class SyntheticConfig:
                 raise ConfigError("%s must be >= 1, got %d"
                                   % (name, getattr(self, name)))
         for roi in REQUIRED_ROIS:
-            if roi not in self.voxels_per_roi:
-                raise ConfigError("voxels_per_roi missing %r" % roi)
-        if not self.noise_sigma >= 0:
-            raise ConfigError("noise_sigma must be >= 0")
+            if not self.voxels_per_roi.get(roi, 0) >= 1:
+                raise ConfigError("voxels_per_roi needs %r >= 1" % roi)
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError("noise_sigma must be finite and >= 0")
+        # floats the simulator holds: the voxel maps, the voxel records, and
+        # the stimuli with their masks, counted before any is allocated
+        voxels = sum(self.voxels_per_roi[roi] for roi in REQUIRED_ROIS)
+        records = self.n_train * self.train_trials + self.n_test * self.test_trials
+        n = (voxels * (s // self.patch_size) ** 2 + records * voxels
+             + 2 * (self.n_train + self.n_test) * s * s)
+        if n > MAX_PARAMETERS:
+            raise ConfigError("image_size, patch_size, n_train, n_test, "
+                              "train_trials, test_trials and voxels_per_roi "
+                              "give %d floats, above the budget of %d"
+                              % (n, MAX_PARAMETERS))
 
 
 @dataclass

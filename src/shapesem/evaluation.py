@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class EvalReport:
     per_image_ssim: list
     run_win_rates: list
     mean_win_rate: float
-    runs: int
-    seed: int
-    reference: dict = field(default_factory=lambda: dict(REFERENCE_WIN_RATES))
 
 
 def pairwise_win_rate(recons, ground_truths, runs: int = 5,
@@ -123,7 +120,7 @@ def pairwise_win_rate(recons, ground_truths, runs: int = 5,
     own, other = np.split(scores[inverse].reshape(runs + 1, n), [1])
     wins = ((own > other) + 0.5 * (own == other)).sum(axis=1)
     run_rates = [float(w) / n for w in wins]
-    return EvalReport(own[0].tolist(), run_rates, float(np.mean(run_rates)), runs, seed)
+    return EvalReport(own[0].tolist(), run_rates, float(np.mean(run_rates)))
 
 
 # -- pipeline stages over whole record lists ----------------------------

@@ -79,7 +79,7 @@ class GanTrainConfig:
 
 
 # (kernel, stride, pad) of a conv that halves or doubles the resolution, of
-# the pair between the 2x2 level and the 1x1 bottleneck, and of D's head
+# a conv with only its 2x2 centre taps live, and of D's head
 HALVE, INNERMOST, HEAD = (4, 2, 1), (2, 1, 0), (4, 1, 1)
 
 
@@ -91,7 +91,9 @@ def conv_plan(config: GanTrainConfig):
 
     G's 2x2 -> 1x1 conv and its 1x1 -> 2x2 transposed conv are the 2x2
     centre of a stride-2, pad-1 4x4 conv: the other 12 taps of the 4x4 one
-    only meet zero padding, or only write where the crop drops."""
+    only meet zero padding, or only write where the crop drops.  At
+    resolution 16, D's stride-1, pad-1 4x4 head over the 2x2 level is
+    likewise its 2x2 centre."""
     b = config.base_channels
     depth = config.resolution.bit_length() - 1
     ch = [min(b * 2 ** i, 8 * b) for i in range(depth)]
@@ -103,8 +105,9 @@ def conv_plan(config: GanTrainConfig):
            for k, (i, o) in enumerate(zip([1] + ch, ch))]
     dec = [(i, o, k < depth - 1, *(INNERMOST if k == 0 else HALVE))
            for k, (i, o) in enumerate(zip(up_in, up))]
+    head = INNERMOST if config.resolution == 16 else HEAD
     return enc + dec + [(2, b, False, *HALVE), (b, 2 * b, True, *HALVE),
-                        (2 * b, 4 * b, True, *HALVE), (4 * b, 1, False, *HEAD)]
+                        (2 * b, 4 * b, True, *HALVE), (4 * b, 1, False, *head)]
 
 
 def _convs(cls, plan, rng, **norm_kw):

@@ -17,11 +17,6 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, lam: float = 0.0) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericalError("ridge_solve requires finite inputs")
     if lam < 0:
@@ -40,4 +35,4 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, lam: float = 0.0) -> np.ndarray:
             w = cho_solve(cho_factor(gram), rhs)
         except np.linalg.LinAlgError:
             w = np.linalg.lstsq(a, b, rcond=None)[0]
-    return w[:, 0] if squeeze else w
+    return w

@@ -19,15 +19,9 @@ MAX_PARAMETERS = 2 ** 28
 
 
 class Layer:
-    def parameters(self):
-        return []
-
     def state_arrays(self):
         """All arrays that define the layer (parameters + running stats)."""
         return [p.data for p in self.parameters()]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        raise NotImplementedError
 
 
 def _uniform(rng, fan_in, shape):
@@ -88,10 +82,10 @@ class ConvTranspose2d(Conv2d):
 
 
 class BatchNorm2d(Layer):
-    """Batch norm over (N, H, W); called with a slope it also applies
-    ``leaky_relu`` (slope 0 is relu) in the same node.  ``running=False``
-    keeps no running statistics: such a norm always uses the batch moments,
-    as a net that never runs in eval mode needs."""
+    """Batch norm over (N, H, W) and ``leaky_relu`` of its slope in the same
+    node: slope 0 is relu, 1 the plain norm.  ``running=False`` keeps no
+    running statistics: such a norm always uses the batch moments, as a net
+    that never runs in eval mode needs."""
 
     def __init__(self, ch: int, running: bool = True):
         self.gamma = Tensor(np.ones(ch, dtype=np.float32), requires_grad=True)
@@ -108,7 +102,7 @@ class BatchNorm2d(Layer):
             return [self.gamma.data, self.beta.data]
         return [self.gamma.data, self.beta.data, self.running_mean, self.running_var]
 
-    def __call__(self, x, slope=None):
+    def __call__(self, x, slope):
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
                             self.running_var, self.training, slope)
 

@@ -63,8 +63,9 @@ class SemanticNetConfig:
 
 
 class SemanticNet:
-    def __init__(self, config: SemanticNetConfig):
+    def __init__(self, config: SemanticNetConfig, roi_set: str):
         self.config = config
+        self.roi_set = roi_set
         rng = np.random.default_rng(config.seed)
         self.l1 = Linear(config.in_dim, config.hidden1, rng)
         self.l2 = Linear(config.hidden1, config.hidden2, rng)
@@ -101,7 +102,7 @@ def train_semantic(ds: Dataset, config: SemanticNetConfig | None = None,
         raise ConfigError("config.in_dim %d != ROI voxel count %d"
                           % (config.in_dim, len(idx)))
     x = ds.layout.matrix(train, roi_set)
-    net = SemanticNet(config)
+    net = SemanticNet(config, roi_set)
     net.x_mean = x.mean(axis=0)
     net.x_std = x.std(axis=0) + 1e-6
     xn = net._normalize(x)
@@ -122,7 +123,6 @@ def train_semantic(ds: Dataset, config: SemanticNetConfig | None = None,
             opt.zero_grad()
             loss.backward()
             opt.step()
-    net.roi_set = roi_set
     return net
 
 
@@ -168,7 +168,7 @@ def category_average(features, labels) -> dict:
 # -- persistence --------------------------------------------------------
 
 def save_semantic_net(net: SemanticNet, path) -> None:
-    header = dict(asdict(net.config), roi_set=getattr(net, "roi_set", "HVC"))
+    header = dict(asdict(net.config), roi_set=net.roi_set)
     save_artifact(path, NET_MAGIC, header, [net.x_mean, net.x_std]
                   + [p.data for p in net.parameters()])
 
@@ -176,12 +176,11 @@ def save_semantic_net(net: SemanticNet, path) -> None:
 def load_semantic_net(path) -> SemanticNet:
     with open_artifact(path, NET_MAGIC) as (header, arrays):
         roi_set = header.pop("roi_set")
-        net = SemanticNet(SemanticNetConfig(**header))
+        net = SemanticNet(SemanticNetConfig(**header), roi_set)
         params = net.parameters()
         check_shapes(arrays, [net.x_mean.shape, net.x_std.shape]
                      + [p.shape for p in params])
         net.x_mean, net.x_std = arrays[:2]
         for p, saved in zip(params, arrays[2:]):
             p.data = saved
-    net.roi_set = roi_set
     return net

@@ -27,8 +27,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = requires_grad
         self.grad = None
@@ -39,15 +37,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -96,9 +87,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -113,18 +101,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
@@ -474,10 +450,10 @@ def conv2d_transpose(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
 # -- batch normalization ------------------------------------------------
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               slope=None) -> Tensor:
+               slope) -> Tensor:
     """Per-channel normalization of an (N, C, H, W) input over (N, H, W),
-    followed, when ``slope`` is set, by ``leaky_relu(., slope)``: one node
-    that keeps a boolean mask for the activation's gradient.
+    followed by ``leaky_relu(., slope)`` in the same node, which keeps a
+    boolean mask for the activation's gradient; slope 1 is the plain norm.
 
     It works on the channels-last (N, H, W, C) view, which is free for a
     conv output.  The mean accumulates in float64, the variance and every
@@ -490,7 +466,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects (N, C, H, W) input")
-    s = None if slope is None else _check_slope(slope)
+    s = _check_slope(slope)
     xl = x.data.transpose(0, 2, 3, 1)
     nred = xl.size // xl.shape[-1]
     batch = training or running_mean is None
@@ -510,16 +486,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
     xhat /= std
     out = xhat * gamma.data
     out += beta.data
-    if s is not None:
-        pos = out >= 0
-        np.maximum(out, s * out, out=out)
+    pos = out >= 0
+    np.maximum(out, s * out, out=out)
 
     def bwd(g):
-        if s is None:
-            gy = g.transpose(0, 2, 3, 1).copy()
-        else:
-            gy = _slope_factor(pos, s)
-            gy *= g.transpose(0, 2, 3, 1)
+        gy = _slope_factor(pos, s)
+        gy *= g.transpose(0, 2, 3, 1)
         dbeta = np.einsum("nhwc->c", gy)
         dgamma = np.einsum("nhwc,nhwc->c", gy, xhat)
         beta.accum_grad(dbeta, own=True)

@@ -59,7 +59,7 @@ def test_acceptance_1_gradient_suite():
         def forward():
             h = T.leaky_relu(T.conv2d(x, k1, 2, 1), 0.2)
             h = T.relu(T.batch_norm(h, gamma, beta, rm.copy(), rv.copy(),
-                                    True))
+                                    True, 1.0))
             y = T.tanh(T.conv2d_transpose(h, k2, 2, 1))
             z = T.sigmoid(T.matmul(T.reshape(y, (2, -1)), w))
             return (T.tmean(T.tabs(y - Tensor(target)))

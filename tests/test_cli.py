@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 
 import cli_recipe
 from cli_recipe import TINY_MODELS, TINY_SIM
-from shapesem.cli import build_parser, main, parse_config_file, resolve_config
-from shapesem.errors import DataError
+from shapesem.cli import (FLAG_KEYS, KNOWN_KEYS, CliError, _config,
+                          build_parser, main, parse_config_file, resolve_config)
+from shapesem.dataset import SyntheticConfig
+from shapesem.errors import ConfigError, DataError
+from shapesem.gan import GanTrainConfig
+from shapesem.semantic import SemanticNetConfig
 
 
 def run_cli(*argv):
@@ -681,6 +685,9 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("simulate", "n_test=0", "n_test"),
     ("simulate", "train_trials=0", "train_trials"),
     ("simulate", "test_trials=0", "test_trials"),
+    ("simulate", "image_size=1048576", "image_size"),
+    ("simulate", "n_train=1000000000", "n_train"),
+    ("simulate", "noise_sigma=inf", "noise_sigma"),
     ("train-shape", "shape_lambda=-1", "shape_lambda"),
     ("train-shape", "shape_lambda=nan", "shape_lambda"),
     ("train-gan", "gan_lr=-1", "lr"),
@@ -704,8 +711,9 @@ def test_removed_key_rejected(tmp_path, capsys, key):
 ])
 def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name):
     """A value out of its range exits 1 naming the key or field, instead of
-    a traceback from deep inside a stage or a silent result.  A setting
-    that starts with -- is a flag, which wins over the --seed 0 here."""
+    a traceback from deep inside a stage, a MemoryError or a silent result.
+    A setting that starts with -- is a flag, which wins over the --seed 0
+    here."""
     ds, art = tiny_model
     out = tmp_path / "art"
     shutil.copytree(art, out)
@@ -716,6 +724,36 @@ def test_bad_setting_names_it(tiny_model, tmp_path, capsys, cmd, settings, name)
         argv += [item] if item.startswith("--") else ["--set", item]
     assert run_cli(*argv) == 1
     assert name in capsys.readouterr().err
+
+
+_HOSTILE_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-0", "0x10",
+                     " 7 ", "", "true", "1_000", "2.5", "16 16"]),
+    st.integers(-2 ** 80, 2 ** 80).map(str),
+    st.integers(0, 80).map(lambda k: str(2 ** k)),
+    st.floats().map(repr))
+
+
+@settings(max_examples=400, deadline=500, database=None)
+@given(st.sampled_from(sorted(KNOWN_KEYS)), _HOSTILE_VALUES, st.booleans())
+def test_any_key_value_gives_a_config_or_names_the_key(key, value, as_flag):
+    """One key set to an adversarial string, by --set or by its flag, gives
+    the simulator's, the semantic net's and the GAN's configs (with their
+    derived fields as the commands set them), or a CliError or ConfigError
+    that names the key, or for a prefixed key its field; nothing else
+    escapes.  No simulation or training runs."""
+    args = SimpleNamespace(set=["%s=%s" % (key, value)])
+    if as_flag and key in FLAG_KEYS:
+        args = SimpleNamespace(**{key: value})
+    field = key.partition("_")[2] if key.startswith(("sem_", "gan_")) else key
+    try:
+        cfg = resolve_config(args)
+        _config(cfg, SyntheticConfig)
+        _config(cfg, SemanticNetConfig, in_dim=1200, n_classes=10)
+        _config(cfg, GanTrainConfig, resolution=cfg["image_size"])
+    except (CliError, ConfigError) as exc:
+        assert field in str(exc), (key, value, str(exc))
 
 
 def _recon_labels(art):
@@ -780,7 +818,7 @@ def test_ablate_honours_semantic_keys(tiny_model, tmp_path, monkeypatch):
 
     def spy(ds, gan_config, mode, **kwargs):
         calls.append((mode, kwargs["semantic_config"]))
-        return SimpleNamespace(report=EvalReport([0.5], [0.5], 0.5, 1, 0))
+        return SimpleNamespace(report=EvalReport([0.5], [0.5], 0.5))
 
     monkeypatch.setattr(cli, "run_pipeline", spy)
     assert run_cli("ablate", "semantics", "--seed", "3", "--dataset", ds,
@@ -804,7 +842,7 @@ def test_ablate_augmentation_drops_only_the_images(tiny_model, tmp_path,
 
     def spy(ds, gan_config, mode, **kwargs):
         calls.append((mode, kwargs.get("augment_images")))
-        return SimpleNamespace(report=EvalReport([0.5], [0.5], 0.5, 1, 0))
+        return SimpleNamespace(report=EvalReport([0.5], [0.5], 0.5))
 
     monkeypatch.setattr(cli, "run_pipeline", spy)
     art = tmp_path / "art"
@@ -841,6 +879,22 @@ def test_missing_mask_names_file(tiny_model, tmp_path, capsys):
     assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
                    "--out", str(tmp_path / "art")) == 1
     assert victim.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("folder", ["stimuli", "masks"])
+def test_mixed_size_pgm_names_file(tiny_model, tmp_path, capsys, folder):
+    """One valid 8x8 PGM in a 16-pixel dataset exits 1 with the image named,
+    in every command that loads the dataset, instead of a reshape error
+    from the shape decoder or a silent success."""
+    ds, _ = tiny_model
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    victim = bad / folder / "train_0000.pgm"
+    victim.write_bytes(b"P5\n8 8\n255\n" + bytes(range(64)))
+    for cmd in ("train-shape", "train-semantic"):
+        assert run_cli(cmd, "--seed", "0", "--dataset", str(bad),
+                       "--out", str(tmp_path / "art"), *TINY_MODELS) == 1
+        assert str(victim) in capsys.readouterr().err
 
 
 def test_ablate_roi_honours_semantic_keys(tiny_model, tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from shapesem.dataset import (Dataset, RoiLayout, SyntheticConfig, TrialRecord,
                               average_test_trials, binarize_mask, load_dataset,
-                              read_pgm, save_dataset, simulate, write_pgm)
+                              otsu_threshold, read_pgm, save_dataset, simulate,
+                              write_pgm)
 from shapesem.errors import ConfigError, DataError, LayoutError
 
 
@@ -217,19 +218,20 @@ class TestAverageTestTrials:
 class TestBinarize:
     def test_idempotent_on_binary(self):
         img = (np.random.default_rng(0).random((16, 16)) > 0.5).astype(np.float32)
-        assert np.array_equal(binarize_mask(img, 0.5), img)
+        assert np.array_equal(binarize_mask(img), img)
 
     def test_step_threshold(self):
         img = np.full((8, 8), 0.2, dtype=np.float32)
         img[:, 4:] = 0.9
-        mask = binarize_mask(img, 0.5)
+        assert 0.2 < otsu_threshold(img) <= 0.9
+        mask = binarize_mask(img)
         assert mask[:, :4].sum() == 0 and mask[:, 4:].min() == 1
 
     def test_otsu_matches_brute_force(self):
         rng = np.random.default_rng(1)
         img = np.where(rng.random((32, 32)) < 0.4, 0.1, 0.8).astype(np.float32)
-        auto = binarize_mask(img, "auto")
-        assert np.array_equal(auto, binarize_mask(img, 0.45))
+        auto = binarize_mask(img)
+        assert np.array_equal(auto, (img >= 0.45).astype(np.float32))
         # brute force over all 256 bin-edge thresholds
         best_t, best_v = 0.0, -1.0
         flat = img.reshape(-1).astype(np.float64)
@@ -248,7 +250,7 @@ class TestBinarize:
     def test_constant_image_warns_empty(self):
         img = np.full((8, 8), 0.3, dtype=np.float32)
         with pytest.warns(RuntimeWarning):
-            mask = binarize_mask(img, "auto")
+            mask = binarize_mask(img)
         assert mask.sum() == 0
 
 
@@ -282,6 +284,15 @@ class TestSimulator:
     def test_too_many_categories_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticConfig(categories=31)
+
+    @pytest.mark.parametrize("count", [None, 0, -5])
+    def test_roi_without_voxels_rejected(self, count):
+        """Every ROI needs a voxel: the float budget sums the counts."""
+        voxels = {"V1": count, "V2": 4, "V3": 4, "LOC": 4, "FFA": 4, "PPA": 4}
+        if count is None:
+            del voxels["V1"]
+        with pytest.raises(ConfigError, match="V1"):
+            SyntheticConfig(voxels_per_roi=voxels)
 
     def test_noiseless_patch_features_exactly_decodable(self):
         from shapesem.linalg import ridge_solve

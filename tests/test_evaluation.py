@@ -114,11 +114,16 @@ class TestPairwiseWinRate:
         with pytest.raises(DataError):
             pairwise_win_rate([np.zeros((8, 8))], [np.zeros((8, 8))])
 
-    def test_reference_metadata_present(self):
+    def test_reference_metadata_present(self, tmp_path):
+        """The published win rates go into every report CSV."""
         rng = np.random.default_rng(6)
         gts = [rng.random((12, 12)) for _ in range(4)]
         report = pairwise_win_rate(gts, gts, runs=1, seed=0)
-        assert report.reference["full"] == pytest.approx(0.653)
+        path = tmp_path / "report.csv"
+        write_report_csv(path, report_rows(report, "full"))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert ["reference_win_rate", "full", "", "0.653"] in rows
 
 
 def reference_win_rate(recons, gts, runs, seed):
@@ -346,7 +351,7 @@ class TestBatchedStages:
 
 class TestReports:
     def test_csv_layout(self, tmp_path):
-        report = EvalReport([0.5, 0.6], [0.7, 0.8], 0.75, 2, 0)
+        report = EvalReport([0.5, 0.6], [0.7, 0.8], 0.75)
         path = tmp_path / "report.csv"
         write_report_csv(path, report_rows(report, "full"))
         with open(path, newline="") as fh:

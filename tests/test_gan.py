@@ -53,8 +53,8 @@ class TestConfig:
         array's shape is written out here: G's encoder kernels and the
         first conv's and bottleneck's biases, its norms, the decoder
         kernels and output bias, its norms; then D's kernels, first bias,
-        norms, and head.  The conv into the 1x1 bottleneck and the first
-        decoder conv keep 2x2 taps."""
+        norms, and head.  The conv into the 1x1 bottleneck, the first
+        decoder conv and, at resolution 16, D's head keep 2x2 taps."""
         cfg = GanTrainConfig(resolution=16, base_channels=2, semantic_dim=3)
         k, inner = (4, 4), (2, 2)
         gen = [(2, 1, *k), (2,), (4, 2, *k), (8, 4, *k), (16, 8, *inner), (16,),
@@ -62,7 +62,7 @@ class TestConfig:
                (19, 8, *inner), (16, 4, *k), (8, 2, *k), (4, 1, *k), (1,),
                *[(8,)] * 4, *[(4,)] * 4, *[(2,)] * 4]
         disc = [(2, 2, *k), (2,), (4, 2, *k), (8, 4, *k),
-                (4,), (4,), (8,), (8,), (1, 8, *k), (1,)]
+                (4,), (4,), (8,), (8,), (1, 8, *inner), (1,)]
         assert [a.shape for a in build_generator(cfg).state_arrays()] == gen
         assert [a.shape for a in build_discriminator(cfg).state_arrays()] == disc
 
@@ -112,7 +112,7 @@ class TestGeneratorShape:
                 h = T.leaky_relu(h, 0.2)
             h = conv(h)
             if gen.enc_bn[i] is not None:
-                h = gen.enc_bn[i](h)
+                h = gen.enc_bn[i](h, 1.0)
         assert h.shape[2:] == (1, 1)
 
     def test_missing_semantics_rejected(self):
@@ -554,7 +554,8 @@ def test_live_tap_generator_matches_full_tap_oracle(resolution, sem_dim,
         assert np.max(np.abs(new - old)) <= 1e-5 * np.max(np.abs(old))
 
 
-@pytest.mark.parametrize("resolution, sem_dim", [(32, 0), (32, 8), (64, 0)])
+@pytest.mark.parametrize("resolution, sem_dim",
+                         [(16, 0), (32, 0), (32, 8), (64, 0)])
 def test_every_parameter_gets_a_gradient(resolution, sem_dim):
     """Every scalar of G's and D's parameters gets a nonzero gradient for
     some model seed and random batch: no weight is dead by the geometry.

@@ -63,7 +63,7 @@ def test_parameter_count_matches_built_net(dims):
     cfg = SemanticNetConfig(in_dim=in_dim, n_classes=n_classes, hidden1=hidden1,
                             hidden2=hidden2)
     assert cfg.parameter_count() == sum(p.data.size
-                                        for p in SemanticNet(cfg).parameters())
+                                        for p in SemanticNet(cfg, "HVC").parameters())
 
 
 @pytest.mark.parametrize("field", ["in_dim", "hidden1", "hidden2",

@@ -196,7 +196,7 @@ def test_batch_norm_finite_difference():
     def forward():
         bn.running_mean[:] = 0
         bn.running_var[:] = 1
-        return T.tmean(T.tabs(bn(x) - Tensor(target)))
+        return T.tmean(T.tabs(bn(x, 1.0) - Tensor(target)))
 
     forward().backward()
     for p in (x, bn.gamma, bn.beta):
@@ -577,7 +577,7 @@ def test_activation_slope_outside_unit_interval_rejected(slope):
 def _gan_norm_calls():
     """(input shape, slope) of every G and D norm of the 32-pixel GAN."""
     cases = _gan_calls("batch_norm", lambda x, gamma, beta, rm, rv, training,
-                       slope=None: (x.shape, slope))
+                       slope: (x.shape, slope))
     assert {slope for _, slope in cases} == {0.0, 0.2}
     return cases
 
@@ -596,7 +596,8 @@ def _norm_inputs(rng, shape):
 
 def _norm_run(fused, x, g, gamma, beta, mean, var, training, slope):
     """Output, input/scale/shift gradients and running statistics of the
-    fused node, or of the reference chain."""
+    fused node, or of the reference chain: the plain reference norm at
+    slope 1, else that norm followed by the reference activation."""
     xt = Tensor(x, requires_grad=True)
     gt = Tensor(gamma, requires_grad=True)
     bt = Tensor(beta, requires_grad=True)
@@ -605,7 +606,7 @@ def _norm_run(fused, x, g, gamma, beta, mean, var, training, slope):
         out = T.batch_norm(xt, gt, bt, *stats, training, slope)
     else:
         out = _ref_batch_norm(xt, gt, bt, *stats, training)
-        if slope is not None:
+        if slope != 1.0:
             out = _ref_leaky_relu(out, slope)
     T.tsum(out * Tensor(g)).backward()
     return [out.data, xt.grad, gt.grad, bt.grad] + stats
@@ -617,10 +618,11 @@ def test_fused_norm_matches_chain(batch, training):
     """The fused node matches batch_norm -> np.where activation forward, in
     the stepped running statistics and in every gradient, to 1e-5 of the
     reference's largest magnitude, on every G and D norm level at
-    base_channels 8 and 16, with its own slope and with none."""
+    base_channels 8 and 16, with its own slope and with slope 1, the plain
+    norm."""
     rng = np.random.default_rng(23)
     for shape, slope in _gan_norm_calls():
-        for s in (slope, None):
+        for s in (slope, 1.0):
             args = _norm_inputs(rng, (batch,) + shape[1:])
             new = _norm_run(True, *args, training, s)
             ref = _norm_run(False, *args, training, s)
@@ -630,7 +632,7 @@ def test_fused_norm_matches_chain(batch, training):
                 assert err <= 1e-5 * np.max(np.abs(b)), (shape, s, err)
 
 
-@pytest.mark.parametrize("slope", [None, 0.0, 0.2])
+@pytest.mark.parametrize("slope", [1.0, 0.0, 0.2])
 def test_fused_norm_finite_difference(slope):
     rng = np.random.default_rng(9)
     x, g, gamma, beta, _, _ = _norm_inputs(rng, (4, 3, 2, 2))
