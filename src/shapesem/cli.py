@@ -144,6 +144,8 @@ def resolve_config(args):
                        "seed = N in --config")
     if cfg["seed"] < 0:
         raise CliError("seed must be >= 0, got %d" % cfg["seed"])
+    if cfg["runs"] < 1:
+        raise CliError("runs must be >= 1, got %d" % cfg["runs"])
     return cfg
 
 

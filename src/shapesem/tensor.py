@@ -9,7 +9,6 @@ topological order.  Reductions accumulate in float64 before casting back.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, GraphError
 
@@ -244,7 +243,8 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out = expit(a.data).astype(np.float32)
+    e = np.exp(-np.abs(a.data, dtype=np.float64))
+    out = (np.where(a.data >= 0, 1.0, e) / (1.0 + e)).astype(np.float32)
 
     def bwd(g):
         a.accum_grad(g * out * (1.0 - out), own=True)

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +33,21 @@ def dir_bytes(root):
             path = os.path.join(dirpath, f)
             out[os.path.relpath(path, root)] = open(path, "rb").read()
     return out
+
+
+def test_cli_imports_numpy_alone():
+    """Importing the CLI loads no scipy module: numpy is the package's only
+    dependency."""
+    import shapesem
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shapesem.__file__)))
+    probe = ("import sys, shapesem.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 SIM_SMALL = ["--set", "image_size=16", "--set", "categories=4",
@@ -668,6 +685,13 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+def test_runs_checked_with_the_config():
+    """runs < 1 is refused while the config is resolved, before any stage
+    loads or trains a model."""
+    with pytest.raises(CliError, match="runs"):
+        resolve_config(SimpleNamespace(set=["runs=0"]))
+
+
 @pytest.mark.parametrize("cmd, settings, name", [
     ("simulate", "patch_size=0", "patch_size"),
     ("train-shape", "patch_size=0", "patch_size"),
@@ -706,6 +730,8 @@ def test_removed_key_rejected(tmp_path, capsys, key):
     ("ablate roi", "--seed=-1", "seed"),
     ("simulate", "--seed=abc", "seed"),
     ("evaluate", "--runs=x", "runs"),
+    ("evaluate", "--runs=-1", "runs"),
+    ("ablate semantics", "--runs=0", "runs"),
     ("train-gan", "--mode=x", "mode"),
     ("evaluate", "--metric=x", "metric"),
 ])

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,32 @@ def test_sigmoid_complement_identity():
     x = rng.standard_normal(100).astype(np.float32)
     s = T.sigmoid(Tensor(x)).data + T.sigmoid(Tensor(-x)).data
     assert np.allclose(s, 1.0, atol=1e-6)
+
+
+def test_sigmoid_correctly_rounded_without_warnings():
+    """Within half a float32 ulp of a float64 1/(1+exp(-x)) over a million
+    values and the extremes, with no overflow, invalid value or other warning
+    (underflow to 0 is the right result, and numpy ignores it by default)."""
+    special = np.array([np.inf, -np.inf, 1e30, -1e30, 100, -100, 0, -0.0],
+                       dtype=np.float32)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-40, 40, 1 << 20).astype(np.float32),
+                        special])
+    with np.errstate(over="ignore"):
+        ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                 divide="raise"):
+        warnings.simplefilter("error")
+        out = T.sigmoid(Tensor(x)).data
+    assert out.dtype == np.float32
+    # the ulp of the float32 interval that holds the reference
+    low = ref.astype(np.float32)
+    low = np.where(low > ref, np.nextafter(low, np.float32(0)), low)
+    ulps = np.abs(out - ref) / np.spacing(low)
+    # slack for the float64 rounding of both sides, far below one ulp
+    assert ulps.max() <= 0.5 + 1e-6
+    assert out[-len(special):].tolist() == [
+        1.0, 0.0, 1.0, 0.0, 1.0, np.float32(np.exp(-100.0)), 0.5, 0.5]
 
 
 def test_backward_linear_case():
