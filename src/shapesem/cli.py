@@ -20,11 +20,10 @@ import hashlib
 import json
 import os
 import sys
-import typing
 
 from .dataset import (Dataset, SyntheticConfig, average_test_trials,
                       load_dataset, save_dataset, simulate, write_pgm)
-from .errors import NumericalError, ShapesemError
+from .errors import LayoutError, NumericalError, ShapesemError
 from .evaluation import (decode_records, fit_gan, pairwise_win_rate,
                          projected_masks, reconstruct_records, report_rows,
                          roi_ablation, run_pipeline, write_montage,
@@ -71,18 +70,17 @@ CONFIG_KEYS = {
     GanTrainConfig: ("gan_", ("epochs", "decay_start", "batch", "lr",
                               "lambda_img", "base_channels")),
 }
-_CONVERTERS = {int: int, float: float, bool: _parse_bool}
+# each config module uses postponed annotations, so a field's type is its
+# name as a string
+_CONVERTERS = {"int": int, "float": float, "bool": _parse_bool}
 
 
 def _field_keys():
     """key -> (converter, default) of every field that CONFIG_KEYS exposes,
     both read from the field."""
-    keys = {}
-    for cls, (prefix, names) in CONFIG_KEYS.items():
-        hints = typing.get_type_hints(cls)
-        keys.update((prefix + f.name, (_CONVERTERS[hints[f.name]], f.default))
-                    for f in dataclasses.fields(cls) if f.name in names)
-    return keys
+    return {prefix + f.name: (_CONVERTERS[f.type], f.default)
+            for cls, (prefix, names) in CONFIG_KEYS.items()
+            for f in dataclasses.fields(cls) if f.name in names}
 
 
 # key -> (converter, default); one namespace shared by every subcommand
@@ -115,13 +113,17 @@ def parse_config_file(path):
     """key = value lines with '#' comments; unknown keys are fatal."""
     if not os.path.exists(path):
         raise CliError("config file not found: %s" % path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                key, val = _key_value(line, "%s:%d" % (path, lineno))
-                values[key] = val
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, val = _key_value(line, "%s:%d" % (path, lineno))
+            values[key] = val
     return values
 
 
@@ -244,11 +246,59 @@ def cmd_train_semantic(cfg, ds, out):
     return [path], "train-semantic: wrote %s (train accuracy %.3f)" % (path, acc)
 
 
-def cmd_train_gan(cfg, ds, out):
-    dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd"))
+def _voxels_fit(path, roi, n, layout):
+    """CliError naming ``path`` unless the layout has ``n`` voxels in
+    ``roi``, the ROI or ROI set the model at ``path`` reads."""
+    try:
+        have = len(layout.indices(roi))
+    except LayoutError as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
+    if have != n:
+        raise CliError("%s reads %d voxels of %s, but the dataset has %d"
+                       % (path, n, roi, have))
+
+
+def _models(cfg, ds, semantic=False, gan=False):
+    """(shape decoder, semantic net, generator) from --out, the last two
+    None unless asked for; with ``gan`` the semantic net loads when the
+    checkpoint is conditioned, which the mode key may not contradict.  Each
+    model is checked against the dataset and the others, so one trained for
+    other data exits 1 naming its file."""
+    path = _artifact(cfg, "shape_decoder.shd")
+    dec = load_shape_decoder(path)
+    for roi, base in dec.decoders.items():
+        _voxels_fit(path, roi, base.weights.shape[0], ds.layout)
+    grid = dec.combiner.weights.shape[0]
+    if grid * dec.patch_size != ds.image_size:
+        raise CliError("%s: grid %d x patch_size %r, but the dataset's "
+                       "image_size is %d" % (path, grid, dec.patch_size,
+                                             ds.image_size))
+    gen = None
+    if gan:
+        ckpt = _artifact(cfg, "gan.ckpt")
+        gen, gan_cfg = load_checkpoint(ckpt)
+        if gan_cfg.resolution != ds.image_size:
+            raise CliError("%s: resolution %d, but the dataset's image_size "
+                           "is %d" % (ckpt, gan_cfg.resolution, ds.image_size))
+        if gan_cfg.semantic_dim and cfg["mode"] == "no_semantics":
+            raise CliError("mode=no_semantics, but %s is conditioned on "
+                           "semantics" % ckpt)
+        semantic = gan_cfg.semantic_dim > 0
     sem_net = None
-    if cfg["mode"] != "no_semantics":
-        sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem"))
+    if semantic:
+        path = _artifact(cfg, "semantic_net.sem")
+        sem_net = load_semantic_net(path)
+        _voxels_fit(path, sem_net.roi_set, sem_net.config.in_dim, ds.layout)
+        if gan and sem_net.config.hidden2 != gan_cfg.semantic_dim:
+            raise CliError("%s: hidden2 %d, but %s has semantic_dim %d"
+                           % (path, sem_net.config.hidden2, ckpt,
+                              gan_cfg.semantic_dim))
+    return dec, sem_net, gen
+
+
+def cmd_train_gan(cfg, ds, out):
+    dec, sem_net, _ = _models(cfg, ds,
+                              semantic=cfg["mode"] != "no_semantics")
     gen, log = fit_gan(ds, dec, sem_net, _config(
         cfg, GanTrainConfig, resolution=ds.image_size))
     ckpt = _artifact(cfg, "gan.ckpt")
@@ -261,16 +311,8 @@ def cmd_train_gan(cfg, ds, out):
 
 def _reconstruct_all(cfg, ds):
     """(decoded shapes, reconstructions) of the test records, and the report
-    label of the checkpoint's model, which the mode key may not contradict."""
-    dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd"))
-    ckpt = _artifact(cfg, "gan.ckpt")
-    gen, gan_cfg = load_checkpoint(ckpt)
-    sem_net = None
-    if gan_cfg.semantic_dim > 0:
-        if cfg["mode"] == "no_semantics":
-            raise CliError("mode=no_semantics, but %s is conditioned on "
-                           "semantics" % ckpt)
-        sem_net = load_semantic_net(_artifact(cfg, "semantic_net.sem"))
+    label of the checkpoint's model."""
+    dec, sem_net, gen = _models(cfg, ds, gan=True)
     shapes, recons = reconstruct_records(gen, dec, sem_net,
                                          ds.split_records("test"), ds.layout)
     return shapes, recons, cfg["mode"] if sem_net else "no_semantics"
@@ -296,7 +338,7 @@ def cmd_reconstruct(cfg, ds, out):
 def cmd_evaluate(cfg, ds, out):
     test = ds.split_records("test")
     if cfg["metric"] == "shape":
-        dec = load_shape_decoder(_artifact(cfg, "shape_decoder.shd"))
+        dec, _, _ = _models(cfg, ds)
         preds, _ = decode_records(dec, None, test, ds.layout)
         gts = projected_masks(ds, test, dec.patch_size)
         label = "shape"
@@ -431,10 +473,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
-    except ShapesemError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ShapesemError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, LayoutError
-from .nn import MAX_PARAMETERS
+from .nn import check_budget, check_fields
 from .patches import extract_patch_features
 from .serial import check_shapes, open_artifact, save_artifact
 
@@ -191,6 +191,9 @@ def read_pgm(path) -> np.ndarray:
     if px.size != w * h:
         raise DataError("PGM payload of %d bytes in %s, expected %d"
                         % (px.size, path, w * h))
+    if maxval < 255 and px.max() > maxval:
+        raise DataError("PGM pixel %d above maxval %d in %s"
+                        % (px.max(), maxval, path))
     return (px.reshape(h, w).astype(np.float32) / maxval).astype(np.float32)
 
 
@@ -224,24 +227,45 @@ def save_dataset(ds: Dataset, root) -> list:
     return written
 
 
+def _integers(what, *values):
+    """TypeError unless every value is a JSON integer: a float, a bool or a
+    string is not taken for one."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError("%s: %r is not an integer" % (what, v))
+
+
 def load_dataset(root) -> Dataset:
     root = Path(root)
     path = root / "manifest.json"
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-        layout = RoiLayout(tuple((name, (lo, hi)) for name, lo, hi in manifest["rois"]))
-        meta = [(m["stimulus_id"], int(m["category_id"]), m["split"],
-                 int(m["trial_index"])) for m in manifest["records"]]
-        for sid, *_ in meta:
+        rois = [(name, (lo, hi)) for name, lo, hi in manifest["rois"]]
+        _integers("ROI bounds", *(b for _, span in rois for b in span))
+        layout = RoiLayout(tuple(rois))
+        meta = [(m["stimulus_id"], m["category_id"], m["split"],
+                 m["trial_index"]) for m in manifest["records"]]
+        if not meta:
+            raise ValueError("no records")
+        for sid, cat, split, trial in meta:
             if not isinstance(sid, str):
                 raise TypeError("stimulus_id must be a string")
             if sid in ("", ".", "..") or set(sid) & set("/\\\0"):
                 raise ValueError("stimulus_id %r is not a plain file name" % sid)
-        categories = list(manifest["categories"])
-        size = int(manifest["image_size"])
+            _integers("category_id and trial_index", cat, trial)
+            if split not in ("train", "test"):
+                raise ValueError("bad split %r" % (split,))
+        categories = manifest["categories"]
+        if not (isinstance(categories, list)
+                and all(isinstance(c, str) for c in categories)):
+            raise TypeError("categories must be a list of strings")
+        size = manifest["image_size"]
+        _integers("image_size", size)
     except OSError as exc:
         raise DataError("cannot read manifest: %s" % exc)
+    except LayoutError as exc:
+        raise LayoutError("%s: %s" % (path, exc)) from None
     except (ValueError, TypeError, KeyError) as exc:
         raise DataError("%s: %s: %s" % (path, type(exc).__name__, exc)) from exc
     with open_artifact(root / "voxels.bin", VOXEL_MAGIC) as (_, rows):
@@ -331,34 +355,30 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, image_size=16, patch_size=1, categories=1,
+                     n_train=1, n_test=1, train_trials=1, test_trials=1,
+                     noise_sigma=0, seed=0)
         s = self.image_size
-        if s < 16 or s & (s - 1):
-            raise ConfigError("image_size must be a power of two >= 16")
-        if self.patch_size < 1 or s % self.patch_size:
-            raise ConfigError("patch_size must be a positive divisor of "
-                              "image_size, got %d" % self.patch_size)
-        if not 1 <= self.categories <= MAX_CATEGORIES:
-            raise ConfigError("categories must be in [1, %d]" % MAX_CATEGORIES)
-        for name in ("n_train", "n_test", "train_trials", "test_trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError("%s must be >= 1, got %d"
-                                  % (name, getattr(self, name)))
+        if s & (s - 1):
+            raise ConfigError("image_size must be a power of two, got %d" % s)
+        if s % self.patch_size:
+            raise ConfigError("patch_size must divide image_size, got %d"
+                              % self.patch_size)
+        if self.categories > MAX_CATEGORIES:
+            raise ConfigError("categories must be <= %d" % MAX_CATEGORIES)
         for roi in REQUIRED_ROIS:
-            if not self.voxels_per_roi.get(roi, 0) >= 1:
-                raise ConfigError("voxels_per_roi needs %r >= 1" % roi)
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ConfigError("noise_sigma must be finite and >= 0")
+            count = self.voxels_per_roi.get(roi)
+            if not isinstance(count, int) or count < 1:
+                raise ConfigError("voxels_per_roi needs an integer %r >= 1, "
+                                  "got %r" % (roi, count))
         # floats the simulator holds: the voxel maps, the voxel records, and
         # the stimuli with their masks, counted before any is allocated
         voxels = sum(self.voxels_per_roi[roi] for roi in REQUIRED_ROIS)
         records = self.n_train * self.train_trials + self.n_test * self.test_trials
         n = (voxels * (s // self.patch_size) ** 2 + records * voxels
              + 2 * (self.n_train + self.n_test) * s * s)
-        if n > MAX_PARAMETERS:
-            raise ConfigError("image_size, patch_size, n_train, n_test, "
-                              "train_trials, test_trials and voxels_per_roi "
-                              "give %d floats, above the budget of %d"
-                              % (n, MAX_PARAMETERS))
+        check_budget(self, n, "floats", "image_size", "patch_size", "n_train",
+                     "n_test", "train_trials", "test_trials", "voxels_per_roi")
 
 
 @dataclass

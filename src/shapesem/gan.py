@@ -17,7 +17,8 @@ import numpy as np
 from . import tensor as T
 from .dataset import binarize_mask
 from .errors import ConfigError, DataError, DimensionError, NumericalError
-from .nn import MAX_PARAMETERS, BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish
+from .nn import (BatchNorm2d, Conv2d, ConvTranspose2d, Sequentialish,
+                 check_budget, check_fields)
 from .optim import Adam
 from .patches import extract_patch_features, upsample_nearest
 from .serial import check_shapes, open_artifact, save_artifact, write_csv
@@ -41,34 +42,18 @@ class GanTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        s = self.resolution
-        if s < 16 or s & (s - 1):
-            raise ConfigError("resolution must be a power of two >= 16")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
-        if self.decay_start < 0:
-            raise ConfigError("decay_start must be >= 0, got %d" % self.decay_start)
+        check_fields(self, resolution=16, lambda_img=0, lr=0, beta1=0, beta2=0,
+                     batch=1, epochs=1, decay_start=0, base_channels=1,
+                     semantic_dim=0, seed=0)
+        if self.resolution & (self.resolution - 1):
+            raise ConfigError("resolution must be a power of two, got %d"
+                              % self.resolution)
         if not self.decay_start < self.epochs:
             raise ConfigError("decay_start must be < epochs")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError("lr must be finite and > 0, got %r" % self.lr)
-        if not 0 <= self.lambda_img < np.inf:
-            raise ConfigError("lambda_img must be finite and >= 0, got %r"
-                              % self.lambda_img)
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1, got %d" % self.batch)
-        if self.base_channels < 1:
-            raise ConfigError("base_channels must be >= 1, got %d"
-                              % self.base_channels)
-        if self.semantic_dim < 0:
-            raise ConfigError("semantic_dim must be >= 0")
-        n = self.parameter_count()
-        if n > MAX_PARAMETERS:
-            raise ConfigError("resolution %d, base_channels %d and "
-                              "semantic_dim %d give %d parameters, above the "
-                              "budget of %d"
-                              % (self.resolution, self.base_channels,
-                                 self.semantic_dim, n, MAX_PARAMETERS))
+        if not self.lr > 0:
+            raise ConfigError("lr must be > 0, got %r" % self.lr)
+        check_budget(self, self.parameter_count(), "parameters", "resolution",
+                     "base_channels", "semantic_dim")
 
     def parameter_count(self) -> int:
         """Parameters of the generator and discriminator, counted without
@@ -108,6 +93,22 @@ def conv_plan(config: GanTrainConfig):
     head = INNERMOST if config.resolution == 16 else HEAD
     return enc + dec + [(2, b, False, *HALVE), (b, 2 * b, True, *HALVE),
                         (2 * b, 4 * b, True, *HALVE), (4 * b, 1, False, *head)]
+
+
+def generator_shapes(config: GanTrainConfig) -> list:
+    """G's state-array shapes in ``GeneratorNet.state_arrays`` order, read
+    from the plan without building G: the encoder's convs (each kernel, and
+    a bias where no norm follows), the encoder's norms (scale, shift and two
+    running statistics each), then the same for the transposed decoder."""
+    plan = conv_plan(config)[:-4]
+    depth = len(plan) // 2
+    shapes = []
+    for rows, transpose in ((plan[:depth], False), (plan[depth:], True)):
+        for i, o, norm, k, _, _ in rows:
+            shapes += [(i, o, k, k) if transpose else (o, i, k, k)]
+            shapes += [] if norm else [(o,)]
+        shapes += [(o,) for _, o, norm, *_ in rows if norm for _ in range(4)]
+    return shapes
 
 
 def _convs(cls, plan, rng, **norm_kw):
@@ -357,10 +358,11 @@ def load_checkpoint(path):
     """(generator in eval mode, its config) from a checkpoint."""
     with open_artifact(path, CHECKPOINT_MAGIC) as (header, arrays):
         config = GanTrainConfig(**header)
+        # before G exists, so a header that does not match its tensors
+        # allocates nothing
+        check_shapes(arrays, generator_shapes(config))
         generator = build_generator(config)
-        state = generator.state_arrays()
-        check_shapes(arrays, [arr.shape for arr in state])
-        for arr, saved in zip(state, arrays):
+        for arr, saved in zip(generator.state_arrays(), arrays):
             arr[...] = saved
     generator.set_training(False)
     return generator, config

@@ -7,15 +7,45 @@ numpy Generator so whole networks are reproducible from one seed.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import numbers
+import sys
 
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .tensor import Tensor
 
 # the most float32 parameters a network config may ask for (1 GiB); configs
 # count theirs before anything is allocated
 MAX_PARAMETERS = 2 ** 28
+
+
+def check_fields(config, **least):
+    """ConfigError unless each named field of the dataclass ``config`` holds
+    a number of its declared kind, finite and at least its bound: an ``int``
+    field takes no float or bool, a ``float`` field an int but no bool."""
+    kinds = {f.name: f.type for f in dataclasses.fields(config)}
+    for name, bound in least.items():
+        value = getattr(config, name)
+        integral = kinds[name] == "int"
+        kind = numbers.Integral if integral else numbers.Real
+        # compared exactly, so nan and an int beyond any float fail as well
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or not bound <= value <= sys.float_info.max):
+            raise ConfigError("%s must be >= %s and %s, got %r" % (
+                name, bound, "an integer" if integral else "a finite number",
+                value))
+
+
+def check_budget(config, n, unit, *sized_by):
+    """ConfigError naming each ``sized_by`` field with its value when the
+    ``n`` ``unit`` they give exceed MAX_PARAMETERS."""
+    if n > MAX_PARAMETERS:
+        raise ConfigError("%s give %d %s, above the budget of %d" % (
+            ", ".join("%s %r" % (f, getattr(config, f)) for f in sized_by),
+            n, unit, MAX_PARAMETERS))
 
 
 class Layer:

@@ -8,6 +8,7 @@ the augmentation vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .dataset import Dataset, TrialRecord
 from .errors import ConfigError, DataError
-from .nn import MAX_PARAMETERS, Linear
+from .nn import Linear, check_budget, check_fields
 from .optim import Adam
 from .serial import check_shapes, open_artifact, save_artifact
 from .tensor import Tensor
@@ -35,31 +36,23 @@ class SemanticNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden1 < 1:
-            raise ConfigError("hidden1 must be >= 1, got %d" % self.hidden1)
-        if self.hidden2 < 2:
-            raise ConfigError("hidden2 must be >= 2")
-        if self.n_classes < 2:
-            raise ConfigError("need at least 2 classes")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1, got %d" % self.batch)
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
-        if not 0 < self.lr < np.inf:
-            raise ConfigError("lr must be finite and > 0, got %r" % self.lr)
-        n = self.parameter_count()
-        if n > MAX_PARAMETERS:
-            raise ConfigError("in_dim %d, hidden1 %d, hidden2 %d and "
-                              "n_classes %d give %d parameters, above the "
-                              "budget of %d"
-                              % (self.in_dim, self.hidden1, self.hidden2,
-                                 self.n_classes, n, MAX_PARAMETERS))
+        check_fields(self, in_dim=1, n_classes=2, hidden1=1, hidden2=2,
+                     epochs=1, lr=0, batch=1, seed=0)
+        if not self.lr > 0:
+            raise ConfigError("lr must be > 0, got %r" % self.lr)
+        check_budget(self, self.parameter_count(), "parameters", "in_dim",
+                     "hidden1", "hidden2", "n_classes")
+
+    def shapes(self) -> list:
+        """Shapes of the three linear layers' weights and biases, in the
+        order of ``SemanticNet.parameters``."""
+        dims = (self.in_dim, self.hidden1, self.hidden2, self.n_classes)
+        return [s for a, b in zip(dims, dims[1:]) for s in ((a, b), (b,))]
 
     def parameter_count(self) -> int:
         """Parameters of the three linear layers, counted without building
         them."""
-        dims = (self.in_dim, self.hidden1, self.hidden2, self.n_classes)
-        return sum(a * b + b for a, b in zip(dims, dims[1:]))
+        return sum(math.prod(s) for s in self.shapes())
 
 
 class SemanticNet:
@@ -176,11 +169,13 @@ def save_semantic_net(net: SemanticNet, path) -> None:
 def load_semantic_net(path) -> SemanticNet:
     with open_artifact(path, NET_MAGIC) as (header, arrays):
         roi_set = header.pop("roi_set")
-        net = SemanticNet(SemanticNetConfig(**header), roi_set)
-        params = net.parameters()
-        check_shapes(arrays, [net.x_mean.shape, net.x_std.shape]
-                     + [p.shape for p in params])
+        if not isinstance(roi_set, str):
+            raise DataError("roi_set must be a string, got %r" % (roi_set,))
+        config = SemanticNetConfig(**header)
+        # the input moments, then the layers: checked before the net exists
+        check_shapes(arrays, [(config.in_dim,)] * 2 + config.shapes())
+        net = SemanticNet(config, roi_set)
         net.x_mean, net.x_std = arrays[:2]
-        for p, saved in zip(params, arrays[2:]):
+        for p, saved in zip(net.parameters(), arrays[2:]):
             p.data = saved
     return net

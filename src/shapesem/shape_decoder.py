@@ -148,11 +148,13 @@ def save_shape_decoder(decoder: ShapeDecoder, path) -> None:
 
 def load_shape_decoder(path) -> ShapeDecoder:
     with open_artifact(path, DECODER_MAGIC) as (header, arrays):
-        g, rois = header["grid"], header["rois"]
+        g, rois, m = header["grid"], header["rois"], header["patch_size"]
+        if type(g) is not int or type(m) is not int:
+            raise DataError("grid %r and patch_size %r must be integers"
+                            % (g, m))
         check_shapes(arrays, [s for _, n, _ in rois for s in ((n, g * g), (g * g,))]
                      + [(g, g, len(rois))])
         w = [a.astype(np.float64) for a in arrays]
         return ShapeDecoder({roi: BaseShapeDecoder(roi, w[2 * i], w[2 * i + 1], g, lam)
                              for i, (roi, _, lam) in enumerate(rois)},
-                            ShapeCombiner([roi for roi, _, _ in rois], w[-1]),
-                            header["patch_size"])
+                            ShapeCombiner([roi for roi, _, _ in rois], w[-1]), m)

@@ -17,7 +17,7 @@ from cli_recipe import TINY_MODELS, TINY_SIM
 from shapesem.cli import (FLAG_KEYS, KNOWN_KEYS, CliError, _config,
                           build_parser, main, parse_config_file, resolve_config)
 from shapesem.dataset import SyntheticConfig
-from shapesem.errors import ConfigError, DataError
+from shapesem.errors import ConfigError, DataError, LayoutError
 from shapesem.gan import GanTrainConfig
 from shapesem.semantic import SemanticNetConfig
 
@@ -549,26 +549,51 @@ def test_zero_batch_rejected(tiny_model, tmp_path, capsys, cmd, key):
     assert "batch must be >= 1" in capsys.readouterr().err
 
 
-def _without_rois(blob):
-    doc = json.loads(blob)
-    del doc["rois"]
-    return json.dumps(doc).encode()
+def _edit_json(edit):
+    """A damage that applies ``edit`` to the parsed manifest."""
+    def damage(blob):
+        doc = json.loads(blob)
+        edit(doc)
+        return json.dumps(doc).encode()
+    return damage
 
 
-@pytest.mark.parametrize("name, damage", [("manifest.json", "truncated"),
-                                          ("manifest.json", "no_rois"),
-                                          ("voxels.bin", "truncated"),
-                                          ("voxels.bin", "trailing")])
+def _first_record(**fields):
+    return _edit_json(lambda doc: doc["records"][0].update(fields))
+
+
+def _overlap_rois(doc):
+    doc["rois"][1][1] = doc["rois"][0][1]
+
+
+_DATASET_DAMAGE = {
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "trailing": lambda blob: blob + bytes(64),
+    "no_rois": _edit_json(lambda doc: doc.pop("rois")),
+    "category_id 1.7": _first_record(category_id=1.7),
+    "category_id true": _first_record(category_id=True),
+    "category_id '1'": _first_record(category_id="1"),
+    "trial_index 2.9": _first_record(trial_index=2.9),
+    "split 1": _first_record(split=1),
+    "categories 'ab'": _edit_json(lambda doc: doc.update(categories="ab")),
+    "image_size 16.9": _edit_json(lambda doc: doc.update(image_size=16.9)),
+    "overlapping rois": _edit_json(_overlap_rois),
+}
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("manifest.json", "truncated"), ("manifest.json", "no_rois"),
+    ("voxels.bin", "truncated"), ("voxels.bin", "trailing"),
+    *(("manifest.json", damage) for damage in list(_DATASET_DAMAGE)[3:])])
 def test_damaged_dataset_names_file(tiny_model, tmp_path, capsys, name, damage):
-    """A dataset file cut short, followed by junk or missing a manifest key
-    exits 1 with the file named, instead of a traceback or a silent load."""
+    """A dataset file cut short, followed by junk or missing a manifest key,
+    or a manifest value of the wrong JSON kind or a layout or split it
+    cannot hold, exits 1 with the file named, instead of a traceback, a
+    silent load or a value coerced to an integer."""
     ds, _ = tiny_model
     bad = tmp_path / "ds"
     shutil.copytree(ds, bad)
-    blob = (bad / name).read_bytes()
-    (bad / name).write_bytes({"truncated": lambda: blob[: len(blob) // 2],
-                              "trailing": lambda: blob + bytes(64),
-                              "no_rois": lambda: _without_rois(blob)}[damage]())
+    (bad / name).write_bytes(_DATASET_DAMAGE[damage]((bad / name).read_bytes()))
     assert run_cli("train-shape", "--seed", "0", "--dataset", str(bad),
                    "--out", str(tmp_path / "art")) == 1
     assert name in capsys.readouterr().err
@@ -762,16 +787,23 @@ _HOSTILE_VALUES = st.one_of(
 
 
 @settings(max_examples=400, deadline=500, database=None)
-@given(st.sampled_from(sorted(KNOWN_KEYS)), _HOSTILE_VALUES, st.booleans())
-def test_any_key_value_gives_a_config_or_names_the_key(key, value, as_flag):
-    """One key set to an adversarial string, by --set or by its flag, gives
-    the simulator's, the semantic net's and the GAN's configs (with their
-    derived fields as the commands set them), or a CliError or ConfigError
-    that names the key, or for a prefixed key its field; nothing else
-    escapes.  No simulation or training runs."""
+@given(st.sampled_from(sorted(KNOWN_KEYS)), _HOSTILE_VALUES,
+       st.sampled_from(["set", "flag", "file"]))
+def test_any_key_value_gives_a_config_or_names_the_key(tmp_path_factory, key,
+                                                       value, source):
+    """One key set to an adversarial string, by --set, by its flag or by a
+    line of a --config file, gives the simulator's, the semantic net's and
+    the GAN's configs (with their derived fields as the commands set them),
+    or a CliError or ConfigError that names the key, or for a prefixed key
+    its field, or for a file line the file and line; nothing else escapes.
+    No simulation or training runs."""
     args = SimpleNamespace(set=["%s=%s" % (key, value)])
-    if as_flag and key in FLAG_KEYS:
+    if source == "flag" and key in FLAG_KEYS:
         args = SimpleNamespace(**{key: value})
+    path = tmp_path_factory.getbasetemp() / "hostile.cfg"
+    if source == "file":
+        path.write_text("%s = %s\n" % (key, value), encoding="utf-8")
+        args = SimpleNamespace(config=str(path))
     field = key.partition("_")[2] if key.startswith(("sem_", "gan_")) else key
     try:
         cfg = resolve_config(args)
@@ -779,7 +811,8 @@ def test_any_key_value_gives_a_config_or_names_the_key(key, value, as_flag):
         _config(cfg, SemanticNetConfig, in_dim=1200, n_classes=10)
         _config(cfg, GanTrainConfig, resolution=cfg["image_size"])
     except (CliError, ConfigError) as exc:
-        assert field in str(exc), (key, value, str(exc))
+        named = field in str(exc) or (source == "file" and "%s:" % path in str(exc))
+        assert named, (key, value, source, str(exc))
 
 
 def _recon_labels(art):
@@ -958,22 +991,39 @@ def test_pgm_trailing_bytes_names_file(tiny_model, tmp_path, capsys):
     assert victim.name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, field", [("gan.ckpt", "base_channels"),
-                                         ("semantic_net.sem", "hidden1"),
-                                         ("semantic_net.sem", "in_dim")])
-def test_oversized_network_header_names_file(tiny_model, tmp_path, capsys,
-                                             name, field):
-    """An artifact header asking for a network above the parameter budget
-    exits 1 naming the file, before any tensor of that network exists."""
+def _rewrite_header(path, **fields):
+    """Save the artifact at ``path`` again with ``fields`` set in its
+    header and its tensors unchanged."""
     from shapesem.serial import open_artifact, save_artifact
 
+    magic = path.read_bytes()[:4]
+    with open_artifact(path, magic) as (header, arrays):
+        pass
+    save_artifact(path, magic, dict(header, **fields), arrays)
+
+
+@pytest.mark.parametrize("name, field, value", [
+    *(pytest.param(name, field, 10 ** 15, id="%s-%s" % (name, field))
+      for name, field in [("gan.ckpt", "base_channels"),
+                          ("semantic_net.sem", "hidden1"),
+                          ("semantic_net.sem", "in_dim")]),
+    ("gan.ckpt", "batch", 4.0),
+    ("gan.ckpt", "batch", True),
+    ("gan.ckpt", "epochs", 2.5),
+    ("semantic_net.sem", "batch", 2.5),
+    ("shape_decoder.shd", "grid", 2.0),
+])
+def test_oversized_network_header_names_file(tiny_model, tmp_path, capsys,
+                                             name, field, value):
+    """An artifact header asking for a network above the parameter budget,
+    or whose integer field holds a float or a bool, exits 1 naming the file
+    and the field, before any tensor of that network exists, instead of a
+    TypeError from deep inside a stage or a run with the value taken for an
+    integer."""
     ds, art = tiny_model
     out = tmp_path / "art"
     shutil.copytree(art, out)
-    magic = (out / name).read_bytes()[:4]
-    with open_artifact(out / name, magic) as (header, arrays):
-        pass
-    save_artifact(out / name, magic, dict(header, **{field: 10 ** 15}), arrays)
+    _rewrite_header(out / name, **{field: value})
     assert _evaluate_recon(ds, out) == 1
     err = capsys.readouterr().err
     assert name in err and field in err
@@ -995,3 +1045,159 @@ def test_checkpoint_naming_disc_mode_names_file(tiny_model, tmp_path, capsys):
     assert _evaluate_recon(ds, out) == 1
     err = capsys.readouterr().err
     assert "gan.ckpt" in err and "disc_mode" in err
+
+
+_HOSTILE_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3))
+
+
+def _holds_its_kinds(config):
+    """Whether every int field of ``config`` holds an int and every float
+    field a finite int or float; a bool is neither."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and type(value) is not int:
+            return False
+        if f.type == "float" and (type(value) not in (int, float)
+                                  or not np.isfinite(float(value))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["gan.ckpt", "semantic_net.sem"])
+def test_model_header_fuzz(tiny_model, tmp_path_factory, name):
+    """One header field of a trained model set to any JSON value either
+    loads a model whose config holds values of its fields' kinds, or
+    raises a DataError naming the file."""
+    from shapesem.gan import load_checkpoint
+    from shapesem.semantic import load_semantic_net
+    from shapesem.serial import open_artifact, save_artifact
+
+    src = os.path.join(tiny_model[1], name)
+    magic = open(src, "rb").read()[:4]
+    with open_artifact(src, magic) as (header, arrays):
+        pass
+    path = tmp_path_factory.mktemp("headers") / name
+
+    @settings(max_examples=60, deadline=1000, database=None)
+    @given(st.sampled_from(sorted(header)), _HOSTILE_JSON)
+    def loads_typed_or_names_file(field, value):
+        save_artifact(path, magic, dict(header, **{field: value}), arrays)
+        try:
+            if name == "gan.ckpt":
+                config = load_checkpoint(path)[1]
+            else:
+                net = load_semantic_net(path)
+                config = net.config
+                assert isinstance(net.roi_set, str)
+        except DataError as exc:
+            assert name in str(exc)
+        else:
+            assert _holds_its_kinds(config), (field, value)
+
+    loads_typed_or_names_file()
+
+
+@pytest.fixture(scope="module")
+def misfits(tiny_model, tmp_path_factory):
+    """(dataset, model dir) pairs whose models were trained for other data:
+    the tiny models on a dataset with 100 V1 voxels and on one of 32
+    pixels, a 16-pixel gan.ckpt next to a shape decoder refitted at 32
+    pixels, a semantic_net.sem whose header names V1 as its ROI set, and
+    one retrained at hidden2 6 for a gan.ckpt conditioned on 4."""
+    from shapesem.dataset import DEFAULT_VOXELS, save_dataset, simulate
+
+    ds, art = tiny_model
+    root = tmp_path_factory.mktemp("misfits")
+    v1_100, big = str(root / "v1_100"), str(root / "big")
+    save_dataset(simulate(SyntheticConfig(
+        image_size=16, categories=2, n_train=8, n_test=4, test_trials=1,
+        voxels_per_roi=dict(DEFAULT_VOXELS, V1=100)))[0], v1_100)
+    assert run_cli("simulate", "--seed", "0", "--out", big, *TINY_SIM,
+                   "--set", "image_size=32") == 0
+    made = {"v1_100": (v1_100, art), "size_32": (big, art)}
+    for label, cmd, data, extra in [("refit_32", "train-shape", big, []),
+                                    ("hidden2_6", "train-semantic", ds,
+                                     ["--set", "sem_hidden2=6"]),
+                                    ("roi_set_v1", None, ds, [])]:
+        out = root / label
+        shutil.copytree(art, out)
+        if cmd:
+            assert run_cli(cmd, "--seed", "0", "--dataset", data, "--out",
+                           str(out), *TINY_MODELS, *extra) == 0
+        else:
+            _rewrite_header(out / "semantic_net.sem", roi_set="V1")
+        made[label] = (data, str(out))
+    return made
+
+
+@pytest.mark.parametrize("case, cmd, names", [
+    ("v1_100", "reconstruct", ["shape_decoder.shd"]),
+    ("v1_100", "evaluate --metric shape", ["shape_decoder.shd"]),
+    ("v1_100", "train-gan", ["shape_decoder.shd"]),
+    ("size_32", "reconstruct", ["shape_decoder.shd"]),
+    ("size_32", "evaluate --metric recon", ["shape_decoder.shd"]),
+    ("refit_32", "reconstruct", ["gan.ckpt"]),
+    ("roi_set_v1", "reconstruct", ["semantic_net.sem"]),
+    ("hidden2_6", "reconstruct", ["semantic_net.sem", "gan.ckpt"]),
+])
+def test_model_that_does_not_fit_names_it(misfits, tmp_path, capsys, case,
+                                          cmd, names):
+    """A model trained for another ROI layout, image size or semantic width
+    exits 1 naming its file, before any voxel meets its weights."""
+    ds, art = misfits[case]
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    argv = [*cmd.split(), "--seed", "0", "--dataset", ds, "--out", str(out),
+            *TINY_MODELS]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+
+
+def _manifest_values(doc):
+    """What a dataset holds of its manifest, as the manifest writes it."""
+    return json.dumps({key: doc[key] for key in ("rois", "categories",
+                                                 "image_size", "records")},
+                      sort_keys=True)
+
+
+def test_manifest_value_fuzz(tiny_model, tmp_path_factory):
+    """One manifest value set to any JSON value either loads a dataset that
+    holds exactly the manifest's values, or raises a DataError or
+    LayoutError naming a file of the dataset."""
+    from shapesem.dataset import load_dataset, save_dataset
+
+    root = tmp_path_factory.mktemp("manifests") / "ds"
+    shutil.copytree(tiny_model[0], root)
+    good = json.loads((root / "manifest.json").read_text())
+    rec, roi = st.integers(0, len(good["records"]) - 1), st.integers(0, 5)
+    where = st.one_of(
+        st.sampled_from(sorted(good)).map(lambda k: (k,)),
+        st.tuples(st.just("records"), rec,
+                  st.sampled_from(sorted(good["records"][0]))),
+        st.tuples(st.just("rois"), roi, st.integers(0, 2)))
+    saved = tmp_path_factory.mktemp("resaved")
+
+    @settings(max_examples=80, deadline=1000, database=None)
+    @given(where, _HOSTILE_JSON)
+    def loads_as_written_or_names_file(keys, value):
+        doc = json.loads(json.dumps(good))
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        (root / "manifest.json").write_text(json.dumps(doc))
+        try:
+            ds = load_dataset(root)
+        except (DataError, LayoutError) as exc:
+            assert str(root) in str(exc)
+        else:
+            save_dataset(ds, saved)
+            back = json.loads((saved / "manifest.json").read_text())
+            assert _manifest_values(back) == _manifest_values(doc), keys
+
+    loads_as_written_or_names_file()
+

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapesem.dataset import (Dataset, RoiLayout, SyntheticConfig, TrialRecord,
                               average_test_trials, binarize_mask, load_dataset,
@@ -144,12 +146,48 @@ class TestPgm:
     @pytest.mark.parametrize("header", [b"P5\nab 16\n255\n",
                                         b"P5\n# no newline",
                                         b"P5\n-2 -2\n255\n" + bytes(4),
-                                        b"P5\n2 2\n255\n" + bytes(4) + b"junkjunk"])
+                                        b"P5\n2 2\n255\n" + bytes(4) + b"junkjunk",
+                                        b"P5\n2 2\n100\n" + bytes([0, 100, 101, 255])])
     def test_malformed_header_names_file(self, tmp_path, header):
         path = tmp_path / "h.pgm"
         path.write_bytes(header)
         with pytest.raises(DataError, match="h.pgm"):
             read_pgm(path)
+
+    def test_header_and_payload_fuzz(self, tmp_path_factory):
+        """A PGM with any sizes, maxval, separators and comments, up to two
+        header tokens replaced by junk and its payload cut or padded, reads
+        as a float32 (h, w) image in [0, 1], or raises a DataError naming
+        the file."""
+        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        gap = st.sampled_from([" ", "\n", "\t", "\r", " #c d\n", "\n#c\n"])
+        junk = st.sampled_from(["0", "-1", "", "x", "+3", "1_0", "3.0", "0x4",
+                                "9" * 30, "P2", "#", " #c\n", "  "])
+
+        @settings(max_examples=200, deadline=500, database=None)
+        @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 255),
+               st.lists(gap, min_size=3, max_size=3),
+               st.lists(st.tuples(st.integers(0, 4), junk), max_size=2),
+               st.lists(st.integers(-2, 2), max_size=1), st.data())
+        def reads_unit_image_or_names_file(w, h, maxval, gaps, damage, cut,
+                                           data):
+            tokens = ["P5", str(w), str(h), str(maxval), "\n"]
+            for i, bad in damage:
+                tokens[i] = bad
+            header = "".join(a + b for a, b in zip(tokens, gaps + ["", ""]))
+            n = max(0, w * h + sum(cut))
+            path.write_bytes(header.encode()
+                             + data.draw(st.binary(min_size=n, max_size=n)))
+            try:
+                img = read_pgm(path)
+            except DataError as exc:
+                assert "f.pgm" in str(exc)
+            else:
+                assert img.dtype == np.float32 and img.ndim == 2
+                assert img.shape == (h, w) or damage
+                assert 0.0 <= img.min() and img.max() <= 1.0
+
+        reads_unit_image_or_names_file()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_match_whole_image_quantisation(self, tmp_path, dtype):
@@ -285,9 +323,11 @@ class TestSimulator:
         with pytest.raises(ConfigError):
             SyntheticConfig(categories=31)
 
-    @pytest.mark.parametrize("count", [None, 0, -5])
+    @pytest.mark.parametrize("count", [None, 0, -5, 100.5, float("inf")])
     def test_roi_without_voxels_rejected(self, count):
-        """Every ROI needs a voxel: the float budget sums the counts."""
+        """Every ROI needs a whole number of voxels, at least one: the
+        float budget sums the counts and the simulator sizes its maps by
+        them."""
         voxels = {"V1": count, "V2": 4, "V3": 4, "LOC": 4, "FFA": 4, "PPA": 4}
         if count is None:
             del voxels["V1"]

@@ -7,9 +7,9 @@ from shapesem import tensor as T
 from shapesem.errors import ConfigError, DataError, DimensionError
 from shapesem.gan import (GanTrainConfig, build_discriminator, build_generator,
                           discriminator_loss, generate, generate_batch,
-                          generator_loss, load_checkpoint, lr_at_epoch,
-                          make_augmented_pairs, save_checkpoint, train,
-                          write_loss_log)
+                          generator_loss, generator_shapes, load_checkpoint,
+                          lr_at_epoch, make_augmented_pairs, save_checkpoint,
+                          train, write_loss_log)
 from shapesem.tensor import Tensor
 
 
@@ -47,6 +47,7 @@ class TestConfig:
         nets = (build_generator(cfg), build_discriminator(cfg))
         assert cfg.parameter_count() == sum(p.data.size for net in nets
                                             for p in net.parameters())
+        assert generator_shapes(cfg) == [a.shape for a in nets[0].state_arrays()]
 
     def test_state_array_shapes_pinned(self):
         """The nets and the parameter count read one conv plan, so each
