@@ -23,7 +23,7 @@ import sys
 
 from .dataset import (Dataset, SyntheticConfig, average_test_trials,
                       load_dataset, save_dataset, simulate, write_pgm)
-from .errors import LayoutError, NumericalError, ShapesemError
+from .errors import DataError, NumericalError, ShapesemError
 from .evaluation import (decode_records, fit_gan, pairwise_win_rate,
                          projected_masks, reconstruct_records, report_rows,
                          roi_ablation, run_pipeline, write_montage,
@@ -32,7 +32,7 @@ from .gan import (GanTrainConfig, load_checkpoint, save_checkpoint,
                   write_loss_log)
 from .semantic import (SemanticNetConfig, accuracy, load_semantic_net,
                        save_semantic_net, train_semantic)
-from .serial import write_csv
+from .serial import reading, write_csv
 from .shape_decoder import (DEFAULT_LAMBDA, fit_shape_decoder,
                             load_shape_decoder, save_shape_decoder)
 
@@ -111,13 +111,8 @@ def _key_value(text, where):
 
 def parse_config_file(path):
     """key = value lines with '#' comments; unknown keys are fatal."""
-    if not os.path.exists(path):
-        raise CliError("config file not found: %s" % path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
+    with reading(path), open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
     values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -246,16 +241,13 @@ def cmd_train_semantic(cfg, ds, out):
     return [path], "train-semantic: wrote %s (train accuracy %.3f)" % (path, acc)
 
 
-def _voxels_fit(path, roi, n, layout):
-    """CliError naming ``path`` unless the layout has ``n`` voxels in
-    ``roi``, the ROI or ROI set the model at ``path`` reads."""
-    try:
-        have = len(layout.indices(roi))
-    except LayoutError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
+def _voxels_fit(roi, n, layout):
+    """DataError unless the layout has ``n`` voxels in ``roi``, the ROI or
+    ROI set a model reads."""
+    have = len(layout.indices(roi))
     if have != n:
-        raise CliError("%s reads %d voxels of %s, but the dataset has %d"
-                       % (path, n, roi, have))
+        raise DataError("reads %d voxels of %s, but the dataset has %d"
+                        % (n, roi, have))
 
 
 def _models(cfg, ds, semantic=False, gan=False):
@@ -266,33 +258,36 @@ def _models(cfg, ds, semantic=False, gan=False):
     other data exits 1 naming its file."""
     path = _artifact(cfg, "shape_decoder.shd")
     dec = load_shape_decoder(path)
-    for roi, base in dec.decoders.items():
-        _voxels_fit(path, roi, base.weights.shape[0], ds.layout)
-    grid = dec.combiner.weights.shape[0]
-    if grid * dec.patch_size != ds.image_size:
-        raise CliError("%s: grid %d x patch_size %r, but the dataset's "
-                       "image_size is %d" % (path, grid, dec.patch_size,
-                                             ds.image_size))
+    with reading(path):
+        for roi, base in dec.decoders.items():
+            _voxels_fit(roi, base.weights.shape[0], ds.layout)
+        grid = dec.combiner.weights.shape[0]
+        if grid * dec.patch_size != ds.image_size:
+            raise DataError("grid %d x patch_size %r, but the dataset's "
+                            "image_size is %d" % (grid, dec.patch_size,
+                                                  ds.image_size))
     gen = None
     if gan:
         ckpt = _artifact(cfg, "gan.ckpt")
         gen, gan_cfg = load_checkpoint(ckpt)
-        if gan_cfg.resolution != ds.image_size:
-            raise CliError("%s: resolution %d, but the dataset's image_size "
-                           "is %d" % (ckpt, gan_cfg.resolution, ds.image_size))
-        if gan_cfg.semantic_dim and cfg["mode"] == "no_semantics":
-            raise CliError("mode=no_semantics, but %s is conditioned on "
-                           "semantics" % ckpt)
+        with reading(ckpt):
+            if gan_cfg.resolution != ds.image_size:
+                raise DataError("resolution %d, but the dataset's image_size "
+                                "is %d" % (gan_cfg.resolution, ds.image_size))
+            if gan_cfg.semantic_dim and cfg["mode"] == "no_semantics":
+                raise DataError("conditioned on semantics, but "
+                                "mode=no_semantics")
         semantic = gan_cfg.semantic_dim > 0
     sem_net = None
     if semantic:
         path = _artifact(cfg, "semantic_net.sem")
         sem_net = load_semantic_net(path)
-        _voxels_fit(path, sem_net.roi_set, sem_net.config.in_dim, ds.layout)
-        if gan and sem_net.config.hidden2 != gan_cfg.semantic_dim:
-            raise CliError("%s: hidden2 %d, but %s has semantic_dim %d"
-                           % (path, sem_net.config.hidden2, ckpt,
-                              gan_cfg.semantic_dim))
+        with reading(path):
+            _voxels_fit(sem_net.roi_set, sem_net.config.in_dim, ds.layout)
+            if gan and sem_net.config.hidden2 != gan_cfg.semantic_dim:
+                raise DataError("hidden2 %d, but %s has semantic_dim %d"
+                                % (sem_net.config.hidden2, ckpt,
+                                   gan_cfg.semantic_dim))
     return dec, sem_net, gen
 
 

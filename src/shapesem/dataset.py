@@ -13,6 +13,7 @@ Directory layout::
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DataError, LayoutError
 from .nn import check_budget, check_fields
 from .patches import extract_patch_features
-from .serial import check_shapes, open_artifact, save_artifact
+from .serial import check_shapes, open_artifact, reading, save_artifact
 
 REQUIRED_ROIS = ("V1", "V2", "V3", "LOC", "FFA", "PPA")
 LVC_ROIS = ("V1", "V2", "V3")
@@ -155,46 +156,34 @@ def write_pgm(path, image: np.ndarray) -> None:
             fh.write(np.round(block * 255.0).astype(np.uint8).tobytes())
 
 
+# four header tokens, each a run of non-whitespace that does not start with
+# '#' and that exactly one whitespace byte ends; whitespace and '#' comments
+# up to their newline may come before each token
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)\s" * 4)
+
+
 def read_pgm(path) -> np.ndarray:
-    try:
+    with reading(path):
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
-        raise DataError("unreadable image %s: %s" % (path, exc))
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        if pos >= len(raw):
-            raise DataError("truncated PGM header in %s" % path)
-        if raw[pos : pos + 1] == b"#":
-            pos = raw.find(b"\n", pos) + 1
-            if pos == 0:
-                raise DataError("truncated PGM header in %s" % path)
-            continue
-        end = pos
-        while end < len(raw) and not raw[end : end + 1].isspace():
-            end += 1
-        if end > pos:
-            fields.append(raw[pos:end])
-        pos = end + 1
-    if fields[0] != b"P5":
-        raise DataError("%s is not a binary PGM" % path)
-    try:
-        w, h, maxval = (int(f) for f in fields[1:])
-    except ValueError:
-        raise DataError("non-numeric PGM header field in %s" % path) from None
-    if w < 1 or h < 1:
-        raise DataError("PGM size %dx%d in %s" % (w, h, path))
-    if not 1 <= maxval <= 255:
-        raise DataError("PGM maxval %d outside 1..255 in %s" % (maxval, path))
-    px = np.frombuffer(raw[pos:], dtype=np.uint8)
-    if px.size != w * h:
-        raise DataError("PGM payload of %d bytes in %s, expected %d"
-                        % (px.size, path, w * h))
-    if maxval < 255 and px.max() > maxval:
-        raise DataError("PGM pixel %d above maxval %d in %s"
-                        % (px.max(), maxval, path))
-    return (px.reshape(h, w).astype(np.float32) / maxval).astype(np.float32)
+        header = _PGM_HEADER.match(raw)
+        if not header:
+            raise DataError("truncated PGM header")
+        magic, *fields = header.groups()
+        if magic != b"P5":
+            raise DataError("not a binary PGM")
+        w, h, maxval = map(int, fields)
+        if w < 1 or h < 1:
+            raise DataError("PGM size %dx%d" % (w, h))
+        if not 1 <= maxval <= 255:
+            raise DataError("PGM maxval %d outside 1..255" % maxval)
+        px = np.frombuffer(raw[header.end():], dtype=np.uint8)
+        if px.size != w * h:
+            raise DataError("PGM payload of %d bytes, expected %d"
+                            % (px.size, w * h))
+        if maxval < 255 and px.max() > maxval:
+            raise DataError("PGM pixel %d above maxval %d" % (px.max(), maxval))
+        return (px.reshape(h, w).astype(np.float32) / maxval).astype(np.float32)
 
 
 # -- save / load --------------------------------------------------------
@@ -238,7 +227,7 @@ def _integers(what, *values):
 def load_dataset(root) -> Dataset:
     root = Path(root)
     path = root / "manifest.json"
-    try:
+    with reading(path):
         with open(path) as fh:
             manifest = json.load(fh)
         rois = [(name, (lo, hi)) for name, lo, hi in manifest["rois"]]
@@ -262,15 +251,9 @@ def load_dataset(root) -> Dataset:
             raise TypeError("categories must be a list of strings")
         size = manifest["image_size"]
         _integers("image_size", size)
-    except OSError as exc:
-        raise DataError("cannot read manifest: %s" % exc)
-    except LayoutError as exc:
-        raise LayoutError("%s: %s" % (path, exc)) from None
-    except (ValueError, TypeError, KeyError) as exc:
-        raise DataError("%s: %s: %s" % (path, type(exc).__name__, exc)) from exc
     with open_artifact(root / "voxels.bin", VOXEL_MAGIC) as (_, rows):
         check_shapes(rows, [(layout.total_voxels,)] * len(meta))
-    records = [TrialRecord(*m, voxels) for m, voxels in zip(meta, rows)]
+        records = [TrialRecord(*m, voxels) for m, voxels in zip(meta, rows)]
     stimuli, masks = {}, {}
     for sid, *_ in meta:
         if sid in stimuli:
@@ -281,10 +264,8 @@ def load_dataset(root) -> Dataset:
             if img.shape != (size, size):
                 raise DataError("%s is %dx%d, but the manifest's image_size "
                                 "is %d" % (pgm, img.shape[1], img.shape[0], size))
-    try:
+    with reading(path):
         return Dataset(layout, records, stimuli, masks, categories)
-    except DataError as exc:
-        raise DataError("%s: %s" % (path, exc)) from None
 
 
 # -- preprocessing ------------------------------------------------------

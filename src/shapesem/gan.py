@@ -364,5 +364,8 @@ def load_checkpoint(path):
         generator = build_generator(config)
         for arr, saved in zip(generator.state_arrays(), arrays):
             arr[...] = saved
+        if any((bn.running_var < 0).any() for bn in generator.layers
+               if isinstance(bn, BatchNorm2d)):
+            raise DataError("a batch norm's running_var is negative")
     generator.set_training(False)
     return generator, config

@@ -79,7 +79,9 @@ class Conv2d(Layer):
     transposed conv, but its memory is tap-major, ``w.transpose(0, 2, 3, 1)``
     contiguous, so the conv ops read it as their kernel matrix without a
     copy.  ``draw`` > ``k`` draws a ``draw`` x ``draw`` kernel at its fan-in
-    and keeps the centre k x k taps."""
+    and keeps the centre k x k taps.  The draw goes one leading slice at a
+    time, each cropped before its float32 cast, so the float64 draw never
+    holds more than one slice; the values are those of a one-shot draw."""
 
     transpose = False
 
@@ -87,11 +89,14 @@ class Conv2d(Layer):
                  rng: np.random.Generator, bias: bool = True,
                  draw: int | None = None):
         d = draw or k
-        shape = (in_ch, out_ch, d, d) if self.transpose else (out_ch, in_ch, d, d)
+        lead, rest = (in_ch, out_ch) if self.transpose else (out_ch, in_ch)
         lo = (d - k) // 2
-        w = _uniform(rng, in_ch * d * d, shape)[:, :, lo : lo + k, lo : lo + k]
-        w = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        self.w = Tensor(w, requires_grad=True)
+        bound = 1.0 / np.sqrt(in_ch * d * d)
+        w = np.empty((lead, k, k, rest), dtype=np.float32)
+        for i in range(lead):
+            taps = rng.uniform(-bound, bound, size=(rest, d, d))
+            w[i] = taps[:, lo : lo + k, lo : lo + k].transpose(1, 2, 0)
+        self.w = Tensor(w.transpose(0, 3, 1, 2), requires_grad=True)
         self.b = (Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
                   if bias else None)
         self.stride, self.pad = stride, pad

@@ -174,6 +174,8 @@ def load_semantic_net(path) -> SemanticNet:
         config = SemanticNetConfig(**header)
         # the input moments, then the layers: checked before the net exists
         check_shapes(arrays, [(config.in_dim,)] * 2 + config.shapes())
+        if not (arrays[1] > 0).all():
+            raise DataError("x_std must be > 0")
         net = SemanticNet(config, roi_set)
         net.x_mean, net.x_std = arrays[:2]
         for p, saved in zip(net.parameters(), arrays[2:]):

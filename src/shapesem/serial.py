@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, ShapesemError
+from .errors import DataError, LayoutError, ShapesemError
 
 TENSOR_MAGIC = b"TSR1"
 
@@ -61,11 +61,27 @@ def save_artifact(path, magic: bytes, header: dict, arrays) -> None:
 
 
 @contextlib.contextmanager
+def reading(path):
+    """Run a reader's parsing and checks; an input fault inside raises again
+    as ``<path>: <problem>``, naming the file once.  A LayoutError stays one
+    and anything else becomes a DataError; an error from outside the package
+    keeps its class name, and an OSError gives its reason without the path."""
+    try:
+        yield
+    except (ShapesemError, OSError, struct.error, ValueError, TypeError,
+            LookupError) as exc:
+        detail = exc if isinstance(exc, ShapesemError) else "%s: %s" % (
+            type(exc).__name__, getattr(exc, "strerror", None) or exc)
+        cls = LayoutError if isinstance(exc, LayoutError) else DataError
+        raise cls("%s: %s" % (path, detail)) from exc
+
+
+@contextlib.contextmanager
 def open_artifact(path, magic: bytes):
     """Read a whole artifact and yield its ``(header, arrays)``.  Damage in
-    the file, or any error the caller's block raises while interpreting it,
-    surfaces as a DataError that names the file."""
-    try:
+    the file, a tensor holding NaN or an infinity, or any error the caller's
+    block raises while interpreting it, surfaces naming the file."""
+    with reading(path):
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != magic:
@@ -81,9 +97,10 @@ def open_artifact(path, magic: bytes):
         arrays = []
         while body.tell() < len(blob):
             arrays.append(read_array(body))
+            if not np.isfinite(arrays[-1]).all():
+                raise DataError("tensor %d holds a non-finite value"
+                                % (len(arrays) - 1))
         yield header, arrays
-    except (ShapesemError, struct.error, ValueError, TypeError, LookupError) as exc:
-        raise DataError("%s: %s" % (path, exc)) from exc
 
 
 def check_shapes(arrays, shapes) -> None:

@@ -152,9 +152,13 @@ def load_shape_decoder(path) -> ShapeDecoder:
         if type(g) is not int or type(m) is not int:
             raise DataError("grid %r and patch_size %r must be integers"
                             % (g, m))
+        names = [roi for roi, _, _ in rois]
+        if not names or len(set(names)) != len(names):
+            raise DataError("rois must name one ROI or more, each once, got %r"
+                            % (names,))
         check_shapes(arrays, [s for _, n, _ in rois for s in ((n, g * g), (g * g,))]
                      + [(g, g, len(rois))])
         w = [a.astype(np.float64) for a in arrays]
         return ShapeDecoder({roi: BaseShapeDecoder(roi, w[2 * i], w[2 * i + 1], g, lam)
                              for i, (roi, _, lam) in enumerate(rois)},
-                            ShapeCombiner([roi for roi, _, _ in rois], w[-1]), m)
+                            ShapeCombiner(names, w[-1]), m)

@@ -1100,6 +1100,126 @@ def test_model_header_fuzz(tiny_model, tmp_path_factory, name):
     loads_typed_or_names_file()
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("name", ["gan.ckpt", "semantic_net.sem",
+                                  "shape_decoder.shd", "voxels.bin"])
+def test_non_finite_tensor_names_file(tiny_model, tmp_path, capsys, name,
+                                      value):
+    """A NaN or an infinity in one tensor of a model or of the voxels exits 1
+    naming the file, instead of an evaluation that exits 0 with a win rate
+    of NaN images, or a refusal that names only a record."""
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    data, out = tmp_path / "ds", tmp_path / "art"
+    shutil.copytree(ds, data)
+    shutil.copytree(art, out)
+    path = (data if name == "voxels.bin" else out) / name
+    magic = path.read_bytes()[:4]
+    with open_artifact(path, magic) as (header, arrays):
+        pass
+    arrays[3].flat[0] = value
+    save_artifact(path, magic, header, arrays)
+    assert _evaluate_recon(str(data), out) == 1
+    assert name in capsys.readouterr().err
+
+
+def _negative_running_var(path):
+    from shapesem.gan import load_checkpoint, save_checkpoint
+    from shapesem.nn import BatchNorm2d
+
+    gen, _ = load_checkpoint(path)
+    next(bn for bn in gen.layers if isinstance(bn, BatchNorm2d)).running_var[0] = -1
+    save_checkpoint(path, gen)
+
+
+def _zero_x_std(path):
+    from shapesem.semantic import load_semantic_net, save_semantic_net
+
+    net = load_semantic_net(path)
+    net.x_std[0] = 0.0
+    save_semantic_net(net, path)
+
+
+def _decoder_rois(path, rois, arrays_of):
+    """Save the shape decoder at ``path`` again with ``rois`` in its header
+    and the tensors ``arrays_of`` makes of its own."""
+    from shapesem.serial import open_artifact, save_artifact
+
+    with open_artifact(path, b"SHD1") as (header, arrays):
+        pass
+    save_artifact(path, b"SHD1", dict(header, rois=rois(header["rois"])),
+                  arrays_of(arrays))
+
+
+@pytest.mark.parametrize("name, edit", [
+    pytest.param("gan.ckpt", _negative_running_var, id="negative-running_var"),
+    pytest.param("semantic_net.sem", _zero_x_std, id="zero-x_std"),
+    pytest.param("shape_decoder.shd", lambda path: _decoder_rois(
+        path, lambda rois: [], lambda arrays: [arrays[-1][:, :, :0]]),
+        id="no-rois"),
+    pytest.param("shape_decoder.shd", lambda path: _decoder_rois(
+        path, lambda rois: [["V1", n, lam] for _, n, lam in rois],
+        lambda arrays: arrays), id="duplicate-rois"),
+])
+def test_value_the_math_cannot_use_names_file(tiny_model, tmp_path, capsys,
+                                              name, edit):
+    """A model whose tensors and header agree but hold what its math cannot
+    use exits 1 naming the file: a negative batch-norm variance (square
+    root of it), a zero input scale (division by it), a decoder without
+    ROIs (nothing to combine) or one ROI named three times (one decoder
+    under a three-column combiner, the others' weights dropped)."""
+    ds, art = tiny_model
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    edit(out / name)
+    assert _evaluate_recon(ds, out) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_shape_decoder_header_fuzz(tiny_model, tmp_path_factory):
+    """A shape_decoder.shd made of any list of the trained ROI entries, with
+    their tensors and combiner columns, where an entry's name, width or
+    lambda, and the grid or patch_size, may be set to any value, makes
+    evaluate --metric shape exit 0, or exit 1 naming the file; no exception
+    escapes."""
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_model
+    out = tmp_path_factory.mktemp("decoders")
+    shutil.copytree(art, out, dirs_exist_ok=True)
+    path = out / "shape_decoder.shd"
+    with open_artifact(path, b"SHD1") as (header, arrays):
+        pass
+    value = (st.sampled_from(["V1", "V2", "V3", "LOC", "LVC", "VC"])
+             | st.integers(-2, 1000) | _HOSTILE_JSON)
+    entry = st.tuples(st.integers(0, len(header["rois"]) - 1),
+                      st.none() | st.tuples(st.integers(0, 2), value))
+    edit = st.none() | st.tuples(st.sampled_from(["grid", "patch_size"]), value)
+    argv = ["evaluate", "--metric", "shape", "--runs", "2", "--seed", "0",
+            "--dataset", ds, "--out", str(out)]
+
+    @settings(max_examples=100, deadline=1000, database=None)
+    @given(st.lists(entry, max_size=4, unique_by=lambda e: e[0])
+           | st.lists(entry, max_size=4), edit)
+    def runs_or_names_file(entries, edit):
+        rois, tensors = [], []
+        for i, change in entries:
+            rois.append(list(header["rois"][i]))
+            if change:
+                rois[-1][change[0]] = change[1]
+            tensors += arrays[2 * i : 2 * i + 2]
+        fields = dict(header, rois=rois)
+        if edit:
+            fields[edit[0]] = edit[1]
+        columns = arrays[-1][:, :, [i for i, _ in entries]]
+        save_artifact(path, b"SHD1", fields, tensors + [columns])
+        code, _, err = cli_recipe.run(main, argv)
+        assert code == 0 or (code == 1 and "shape_decoder.shd" in err), err
+
+    runs_or_names_file()
+
+
 @pytest.fixture(scope="module")
 def misfits(tiny_model, tmp_path_factory):
     """(dataset, model dir) pairs whose models were trained for other data:

@@ -158,11 +158,18 @@ class TestPgm:
         """A PGM with any sizes, maxval, separators and comments, up to two
         header tokens replaced by junk and its payload cut or padded, reads
         as a float32 (h, w) image in [0, 1], or raises a DataError naming
-        the file."""
+        the file; an undamaged one with no pixel above maxval reads as
+        exactly payload / maxval.  Separators and junk include runs of
+        128 KiB of whitespace, of comments and of '#', which the header
+        pattern must pass or refuse within the deadline."""
         path = tmp_path_factory.mktemp("pgm") / "f.pgm"
-        gap = st.sampled_from([" ", "\n", "\t", "\r", " #c d\n", "\n#c\n"])
+        long = 1 << 17
+        gap = st.sampled_from([" ", "\n", "\t", "\r", " #c d\n", "\n#c\n",
+                               " " * long, "\n" + "#" * long + "\n",
+                               "\n" + "#c\n" * (long // 3)])
         junk = st.sampled_from(["0", "-1", "", "x", "+3", "1_0", "3.0", "0x4",
-                                "9" * 30, "P2", "#", " #c\n", "  "])
+                                "9" * 30, "P2", "#", " #c\n", "  ", "#" * long,
+                                " " * long, "\n#" * (long // 2)])
 
         @settings(max_examples=200, deadline=500, database=None)
         @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 255),
@@ -176,16 +183,22 @@ class TestPgm:
                 tokens[i] = bad
             header = "".join(a + b for a, b in zip(tokens, gaps + ["", ""]))
             n = max(0, w * h + sum(cut))
-            path.write_bytes(header.encode()
-                             + data.draw(st.binary(min_size=n, max_size=n)))
+            payload = data.draw(st.binary(min_size=n, max_size=n))
+            path.write_bytes(header.encode() + payload)
+            px = np.frombuffer(payload, dtype=np.uint8)
+            intact = not damage and n == w * h and px.max() <= maxval
             try:
                 img = read_pgm(path)
             except DataError as exc:
                 assert "f.pgm" in str(exc)
+                assert not intact, exc
             else:
                 assert img.dtype == np.float32 and img.ndim == 2
                 assert img.shape == (h, w) or damage
                 assert 0.0 <= img.min() and img.max() <= 1.0
+                if intact:
+                    assert img.tobytes() == (px.reshape(h, w).astype(np.float32)
+                                             / np.float32(maxval)).tobytes()
 
         reads_unit_image_or_names_file()
 
