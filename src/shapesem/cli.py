@@ -146,14 +146,17 @@ def resolve_config(args):
     return cfg
 
 
-def _require_out(cfg, make):
-    """The --out directory, made and checked writable if ``make``."""
+def _require_out(cfg, make, write):
+    """The --out directory, made if ``make`` and checked writable if
+    ``write`` and it exists.  A command that loads its models from --out
+    does not make it, so a missing one is refused by the model load, which
+    names the model file, and no empty directory is left behind."""
     if not cfg["out"]:
         raise CliError("an output directory is required (--out)")
     if make:
         os.makedirs(cfg["out"], exist_ok=True)
-        if not os.access(cfg["out"], os.W_OK):
-            raise CliError("output dir not writable: %s" % cfg["out"])
+    if write and os.path.isdir(cfg["out"]) and not os.access(cfg["out"], os.W_OK):
+        raise CliError("output dir not writable: %s" % cfg["out"])
     return cfg["out"]
 
 
@@ -409,9 +412,11 @@ def build_parser():
                     "(roi_set,shape_win_rate,semantic_accuracy).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_dataset=True, needs_seed=False):
+    def add(name, func, help_text, needs_dataset=True, needs_seed=False,
+            loads_models=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, needs_seed=needs_seed)
+        p.set_defaults(func=func, needs_seed=needs_seed,
+                       loads_models=loads_models)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
@@ -431,12 +436,14 @@ def build_parser():
     add("train-semantic", cmd_train_semantic, "train the category classifier",
         needs_seed=True)
     p = add("train-gan", cmd_train_gan,
-            "train the conditional reconstruction GAN", needs_seed=True)
+            "train the conditional reconstruction GAN", needs_seed=True,
+            loads_models=True)
     p.add_argument("--mode", help="full, or no_semantics to drop semantic "
                    "conditioning")
     add("reconstruct", cmd_reconstruct,
-        "reconstruct every test record and emit a montage")
-    p = add("evaluate", cmd_evaluate, "pairwise identification win rate to CSV")
+        "reconstruct every test record and emit a montage", loads_models=True)
+    p = add("evaluate", cmd_evaluate, "pairwise identification win rate to CSV",
+            loads_models=True)
     p.add_argument("--metric", help="shape or recon: evaluate decoded shapes "
                    "or GAN reconstructions")
     p = add("ablate", cmd_ablate, "run one ablation experiment",
@@ -458,7 +465,8 @@ def main(argv=None) -> int:
         # the dataset loads before --out is made, so a bad one leaves no dir
         ds = _load_ds(cfg) if "dataset" in args else None
         writes = args.command != "report"
-        out = _require_out(cfg, make=writes)
+        out = _require_out(cfg, make=writes and not args.loads_models,
+                           write=writes)
         which = [args.which] if "which" in args else []
         written, summary = args.func(cfg, ds, out, *which)
         if writes:

@@ -261,9 +261,11 @@ def load_dataset(root) -> Dataset:
         for folder, images in (("stimuli", stimuli), ("masks", masks)):
             pgm = root / folder / (sid + ".pgm")
             img = images[sid] = read_pgm(pgm)
-            if img.shape != (size, size):
-                raise DataError("%s is %dx%d, but the manifest's image_size "
-                                "is %d" % (pgm, img.shape[1], img.shape[0], size))
+            with reading(pgm):
+                if img.shape != (size, size):
+                    raise DataError("image is %dx%d, but the manifest's "
+                                    "image_size is %d"
+                                    % (img.shape[1], img.shape[0], size))
     with reading(path):
         return Dataset(layout, records, stimuli, masks, categories)
 

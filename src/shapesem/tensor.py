@@ -384,6 +384,35 @@ def _col2im(kmat, g_rows, out_shape, kh, kw, stride, pad):
     return xp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
+def _conv_input_grad(kernels, g, x_shape, stride, pad):
+    """Input gradient of ``conv2d`` as a gather (the sub-pixel phase form of
+    Shi et al. 2016; a full correlation with the flipped kernel at stride 1).
+
+    With the kernel zero-padded to ``T*s x U*s`` taps, padded-input pixel
+    ``(a*s + r, b*s + q)`` gathers the ``T x U`` gradient window ending at
+    ``(a, b)`` against the taps ``(t*s + r, u*s + q)``, tap ``t`` meeting
+    window row ``T-1-t``.  So one stride-1 im2col of the gradient, padded
+    by ``P = max(T, U) - 1`` on every side, and one GEMM against the kernel
+    regrouped as ``(window tap, o) x (phase, c)`` give every phase; one copy
+    interleaves the s*s phases and a crop drops the padding.  Returns an
+    (N, C, H, W) view."""
+    n, c, h, w = x_shape
+    o, _, kh, kw = kernels.shape
+    s = stride
+    t, u = -(-kh // s), -(-kw // s)
+    p = max(t, u) - 1
+    kp = np.zeros((o, t * s, u * s, c), dtype=np.float32)
+    kp[:, :kh, :kw] = kernels.transpose(0, 2, 3, 1)
+    kmat = (kp.reshape(o, t, s, u, s, c)[:, ::-1, :, ::-1]
+            .transpose(1, 3, 0, 2, 4, 5).reshape(t * u * o, s * s * c))
+    cols = _im2col(g, t, u, 1, p)
+    a, b = g.shape[2] + 2 * p - t + 1, g.shape[3] + 2 * p - u + 1
+    canvas = ((cols @ kmat).reshape(n, a, b, s, s, c).transpose(0, 1, 3, 2, 4, 5)
+              .reshape(n, a * s, b * s, c))
+    y0, x0 = pad + (p - t + 1) * s, pad + (p - u + 1) * s
+    return canvas[:, y0 : y0 + h, x0 : x0 + w].transpose(0, 3, 1, 2)
+
+
 def _rows(a):
     """(N, C, H, W) -> the (N*H*W, C) matrix."""
     return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
@@ -414,7 +443,7 @@ def conv2d(x, kernels, stride: int = 1, pad: int = 0) -> Tensor:
             kernels.accum_grad(_kernel_grad(g_rows.T @ cols, kernels.shape),
                                own=True)
         if x.requires_grad:
-            x.accum_grad(_col2im(kmat, g_rows, x.shape, kh, kw, stride, pad),
+            x.accum_grad(_conv_input_grad(kernels.data, g, x.shape, stride, pad),
                          own=True)
 
     return _make(out, (x, kernels), bwd)

@@ -853,6 +853,18 @@ def test_recon_report_refuses_mode_the_checkpoint_is_not(tiny_model, tmp_path,
         assert _recon_labels(out) == {"full"}
 
 
+@pytest.mark.parametrize("cmd", ["train-gan", "reconstruct", "evaluate"])
+def test_model_reader_leaves_no_out_dir(tiny_model, tmp_path, capsys, cmd):
+    """A command that loads its models from --out does not make it: a
+    mistyped --out exits 1 naming the missing model file and leaves no
+    empty directory behind."""
+    ds, _ = tiny_model
+    typo = tmp_path / "typo"
+    assert run_cli(cmd, "--dataset", ds, "--out", str(typo), "--seed", "0") == 1
+    assert str(typo / "shape_decoder.shd") in capsys.readouterr().err
+    assert not typo.exists()
+
+
 def test_shape_evaluate_uses_decoder_patch_size(noiseless_run, tmp_path):
     """Masks are projected at the patch size the decoder was fitted with,
     whatever the patch_size key says."""

@@ -211,6 +211,30 @@ def test_finite_difference_dense_path(seed):
         assert np.max(np.abs(p.grad - fd) / denom) < 1e-3
 
 
+@pytest.mark.parametrize("x_shape, k_shape, stride, pad", [
+    ((1, 2, 7, 7), (3, 2, 3, 3), 2, 1),
+    ((1, 2, 6, 8), (2, 2, 4, 2), 2, 1),
+], ids=["3x3_stride2", "4x2_stride2_h_ne_w"])
+def test_conv2d_input_grad_finite_difference(x_shape, k_shape, stride, pad):
+    """The gathered conv2d input gradient matches central differences on
+    geometries whose kernel is not a multiple of the stride."""
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal(x_shape).astype(np.float32),
+               requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape).astype(np.float32) * 0.3)
+    ho = (x_shape[2] + 2 * pad - k_shape[2]) // stride + 1
+    wo = (x_shape[3] + 2 * pad - k_shape[3]) // stride + 1
+    w = rng.standard_normal((1, k_shape[0], ho, wo)).astype(np.float32)
+
+    def forward():
+        return T.tmean(T.tanh(T.conv2d(x, k, stride, pad)) * Tensor(w))
+
+    forward().backward()
+    fd = _numeric_grad(lambda: float(forward().data), x.data)
+    denom = np.maximum(1.0, np.abs(fd))
+    assert np.max(np.abs(x.grad - fd) / denom) < 1e-3
+
+
 def test_batch_norm_finite_difference():
     rng = np.random.default_rng(7)
     from shapesem.nn import BatchNorm2d
@@ -492,6 +516,20 @@ _TEST_GEOMETRIES = [
     ("conv2d", (10, 3, 8, 8), (4, 3, 2, 2), 2, 0),
     ("conv2d", (10, 3, 8, 8), (4, 3, 4, 4), 2, 1),
     ("conv2d", (10, 3, 7, 7), (4, 3, 4, 4), 1, 1),
+    # kernels that are not a multiple of the stride
+    ("conv2d", (10, 3, 7, 7), (4, 3, 3, 3), 2, 1),
+    ("conv2d", (10, 3, 9, 9), (4, 3, 5, 5), 2, 2),
+    # stride 3, with a kernel a multiple of it and one that is not
+    ("conv2d", (10, 3, 9, 9), (4, 3, 3, 3), 3, 0),
+    ("conv2d", (10, 2, 11, 11), (3, 2, 4, 4), 3, 1),
+    # kh != kw, at stride 1 and with a different tap count per axis at 2
+    ("conv2d", (10, 3, 6, 7), (4, 3, 2, 3), 1, 0),
+    ("conv2d", (10, 3, 8, 8), (4, 3, 4, 2), 2, 1),
+    # H != W
+    ("conv2d", (10, 3, 6, 10), (4, 3, 4, 4), 2, 1),
+    # C = 1 and O = 1
+    ("conv2d", (10, 1, 8, 8), (4, 1, 4, 4), 2, 1),
+    ("conv2d", (10, 3, 7, 7), (1, 3, 3, 3), 2, 1),
     ("conv2d_transpose", (10, 4, 5, 5), (4, 3, 1, 1), 1, 0),
     ("conv2d_transpose", (10, 4, 5, 5), (4, 3, 3, 3), 1, 0),
     ("conv2d_transpose", (10, 4, 4, 4), (4, 3, 2, 2), 2, 0),
@@ -755,6 +793,55 @@ def test_fused_norm_bytes_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                               capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+_CONV_GRAD_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from shapesem import tensor as T
+from shapesem.gan import GanTrainConfig, conv_plan
+from shapesem.tensor import Tensor
+rng = np.random.default_rng(6)
+digest = hashlib.sha256()
+for base in (8, 16):
+    plan = conv_plan(GanTrainConfig(resolution=32, base_channels=base))
+    depth = (len(plan) - 4) // 2
+    for rows in (plan[:depth], plan[-4:]):  # G's encoder, then D
+        size = 32
+        for cin, cout, _, k, stride, pad in rows:
+            x = Tensor(rng.standard_normal((10, cin, size, size))
+                       .astype(np.float32), requires_grad=True)
+            kern = Tensor(rng.standard_normal((cout, cin, k, k))
+                          .astype(np.float32))
+            out = T.conv2d(x, kern, stride, pad)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            T.tsum(out * Tensor(g)).backward()
+            digest.update(np.ascontiguousarray(x.grad).tobytes())
+            size = out.shape[2]
+print(digest.hexdigest())
+"""
+
+
+def test_conv2d_input_grad_bytes_do_not_depend_on_blas_threads():
+    """The conv2d input gradient of every G and D level of the 32-pixel GAN,
+    at base_channels 8 and 16, gives the same bytes at one and two OpenBLAS
+    threads: its one GEMM sums each output in the same order."""
+    import os
+    import subprocess
+    import sys
+
+    import shapesem
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shapesem.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _CONV_GRAD_THREAD_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
