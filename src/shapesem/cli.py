@@ -8,6 +8,12 @@ the command, writes a JSON manifest next to its artifacts with the resolved
 config, the seed, and sha256 checksums of everything it wrote, and prints
 the command's summary.  ``report`` only reads, and writes no manifest.
 
+``reconstruct`` stores its float32 reconstructions as ``reconstructions.rec``
+with the sha256 of each model file it loaded and of the test records it
+decoded; ``evaluate --metric recon`` scores that stack when those inputs are
+the ones it loads, refuses it when they are not, and renders the test
+records itself when there is no stack.
+
 Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 """
 
@@ -32,7 +38,8 @@ from .gan import (GanTrainConfig, load_checkpoint, save_checkpoint,
                   write_loss_log)
 from .semantic import (SemanticNetConfig, accuracy, load_semantic_net,
                        save_semantic_net, train_semantic)
-from .serial import reading, write_csv
+from .serial import (check_shapes, open_artifact, reading, replacing,
+                     save_artifact, write_csv)
 from .shape_decoder import (DEFAULT_LAMBDA, fit_shape_decoder,
                             load_shape_decoder, save_shape_decoder)
 
@@ -195,7 +202,7 @@ def write_manifest(out_dir, subcommand, cfg, written):
         "artifacts": checksums,
     }
     path = os.path.join(out_dir, "run_manifest_%s.json" % subcommand.replace("-", "_"))
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -307,18 +314,65 @@ def cmd_train_gan(cfg, ds, out):
                               % (len(log), log[-1]["g_total"], ckpt))
 
 
-def _reconstruct_all(cfg, ds):
-    """(decoded shapes, reconstructions) of the test records, and the report
-    label of the checkpoint's model."""
+STACK, STACK_MAGIC = "reconstructions.rec", b"REC1"
+
+
+def _stack_inputs(cfg, ds, semantic):
+    """The header of a reconstruction stack: the sha256 of each model file
+    read, the semantic net's only when ``semantic``, and ``test_records``,
+    one sha256 over the test records' stimulus ids and voxels."""
+    names = ["shape_decoder.shd", "gan.ckpt"]
+    names += ["semantic_net.sem"] if semantic else []
+    inputs = {name: _sha256(_artifact(cfg, name)) for name in names}
+    test = ds.split_records("test")
+    h = hashlib.sha256(json.dumps([r.stimulus_id for r in test]).encode())
+    for r in test:
+        h.update(r.voxels.tobytes())
+    inputs["test_records"] = h.hexdigest()
+    return inputs
+
+
+def _stored_reconstructions(cfg, ds, semantic):
+    """The (n_test, S, S) stack ``reconstruct`` stored in --out, or None
+    without one.  A stack that is damaged, that is not one [0, 1] image per
+    test record, or that was rendered from other inputs than those loaded
+    now is refused naming the file and each input that changed."""
+    path = _artifact(cfg, STACK)
+    if not os.path.exists(path):
+        return None
+    inputs = _stack_inputs(cfg, ds, semantic)
+    with open_artifact(path, STACK_MAGIC) as (header, arrays):
+        changed = [name for name, sha in inputs.items()
+                   if header.get(name) != sha]
+        if changed:
+            what = ["other test records than those of %s" % cfg["dataset"]
+                    if name == "test_records" else "another " + name
+                    for name in changed]
+            raise DataError("stale: reconstruct rendered it from %s; run "
+                            "reconstruct again" % " and ".join(what))
+        size = ds.image_size
+        check_shapes(arrays, [(len(ds.split_records("test")), size, size)])
+        if not ((arrays[0] >= 0) & (arrays[0] <= 1)).all():
+            raise DataError("a pixel lies outside [0, 1]")
+    return arrays[0]
+
+
+def _scored_reconstructions(cfg, ds):
+    """The test records' reconstructions, from the stack when there is one,
+    and the report label of the checkpoint's model.  The models go out of
+    scope on return, so they are not held while the stack is scored."""
     dec, sem_net, gen = _models(cfg, ds, gan=True)
-    shapes, recons = reconstruct_records(gen, dec, sem_net,
-                                         ds.split_records("test"), ds.layout)
-    return shapes, recons, cfg["mode"] if sem_net else "no_semantics"
+    preds = _stored_reconstructions(cfg, ds, sem_net is not None)
+    if preds is None:
+        _, preds = reconstruct_records(gen, dec, sem_net,
+                                       ds.split_records("test"), ds.layout)
+    return preds, cfg["mode"] if sem_net else "no_semantics"
 
 
 def cmd_reconstruct(cfg, ds, out):
-    shapes, recons, _ = _reconstruct_all(cfg, ds)
+    dec, sem_net, gen = _models(cfg, ds, gan=True)
     test = ds.split_records("test")
+    shapes, recons = reconstruct_records(gen, dec, sem_net, test, ds.layout)
     written = []
     for i, img in enumerate(recons):
         path = _artifact(cfg, "recon_%04d.pgm" % i)
@@ -328,7 +382,10 @@ def cmd_reconstruct(cfg, ds, out):
     triplets = [(ds.stimuli[r.stimulus_id], sp, rc)
                 for r, sp, rc in zip(test, shapes, recons)]
     write_montage(montage, triplets)
-    written.append(montage)
+    stack = _artifact(cfg, STACK)
+    save_artifact(stack, STACK_MAGIC,
+                  _stack_inputs(cfg, ds, sem_net is not None), [recons])
+    written += [montage, stack]
     return written, ("reconstruct: wrote %d reconstructions and %s"
                      % (len(recons), montage))
 
@@ -341,7 +398,7 @@ def cmd_evaluate(cfg, ds, out):
         gts = projected_masks(ds, test, dec.patch_size)
         label = "shape"
     else:
-        _, preds, label = _reconstruct_all(cfg, ds)
+        preds, label = _scored_reconstructions(cfg, ds)
         gts = [ds.stimuli[r.stimulus_id] for r in test]
     report = pairwise_win_rate(preds, gts, runs=cfg["runs"], seed=cfg["seed"])
     path = _artifact(cfg, "report_%s.csv" % cfg["metric"])

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ConfigError, DataError, LayoutError
 from .nn import check_budget, check_fields
 from .patches import extract_patch_features
-from .serial import check_shapes, open_artifact, reading, save_artifact
+from .serial import (check_shapes, open_artifact, reading, replacing,
+                     save_artifact)
 
 REQUIRED_ROIS = ("V1", "V2", "V3", "LOC", "FFA", "PPA")
 LVC_ROIS = ("V1", "V2", "V3")
@@ -203,7 +204,7 @@ def save_dataset(ds: Dataset, root) -> list:
             for r in ds.records
         ],
     }
-    with open(root / "manifest.json", "w") as fh:
+    with replacing(root / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     save_artifact(root / "voxels.bin", VOXEL_MAGIC, {},
                   (r.voxels for r in ds.records))

@@ -123,7 +123,8 @@ def _convs(cls, plan, rng, **norm_kw):
 class GeneratorNet(Sequentialish):
     """U-Net: depth log2(S) encoder/decoder with level-wise skips."""
 
-    def __init__(self, config: GanTrainConfig, rng: np.random.Generator):
+    def __init__(self, config: GanTrainConfig,
+                 rng: np.random.Generator | None):
         self.config = config
         plan = conv_plan(config)[:-4]
         self.depth = len(plan) // 2
@@ -361,7 +362,8 @@ def load_checkpoint(path):
         # before G exists, so a header that does not match its tensors
         # allocates nothing
         check_shapes(arrays, generator_shapes(config))
-        generator = build_generator(config)
+        # G without its random draw: every array is overwritten below
+        generator = GeneratorNet(config, None)
         for arr, saved in zip(generator.state_arrays(), arrays):
             arr[...] = saved
         if any((bn.running_var < 0).any() for bn in generator.layers

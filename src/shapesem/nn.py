@@ -81,21 +81,24 @@ class Conv2d(Layer):
     copy.  ``draw`` > ``k`` draws a ``draw`` x ``draw`` kernel at its fan-in
     and keeps the centre k x k taps.  The draw goes one leading slice at a
     time, each cropped before its float32 cast, so the float64 draw never
-    holds more than one slice; the values are those of a one-shot draw."""
+    holds more than one slice; the values are those of a one-shot draw.
+    ``rng`` None draws nothing and leaves the kernel unset, for a loader
+    that fills every state array."""
 
     transpose = False
 
     def __init__(self, in_ch: int, out_ch: int, k: int, stride: int, pad: int,
-                 rng: np.random.Generator, bias: bool = True,
+                 rng: np.random.Generator | None, bias: bool = True,
                  draw: int | None = None):
         d = draw or k
         lead, rest = (in_ch, out_ch) if self.transpose else (out_ch, in_ch)
         lo = (d - k) // 2
         bound = 1.0 / np.sqrt(in_ch * d * d)
         w = np.empty((lead, k, k, rest), dtype=np.float32)
-        for i in range(lead):
-            taps = rng.uniform(-bound, bound, size=(rest, d, d))
-            w[i] = taps[:, lo : lo + k, lo : lo + k].transpose(1, 2, 0)
+        if rng is not None:
+            for i in range(lead):
+                taps = rng.uniform(-bound, bound, size=(rest, d, d))
+                w[i] = taps[:, lo : lo + k, lo : lo + k].transpose(1, 2, 0)
         self.w = Tensor(w.transpose(0, 3, 1, 2), requires_grad=True)
         self.b = (Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
                   if bias else None)

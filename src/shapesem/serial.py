@@ -1,11 +1,14 @@
 """The one artifact container, used by every model and dataset file.
 
 An artifact is a 4-byte magic naming its kind (``GAN1``, ``SEM1``, ``SHD1``,
-``VOX1``), a u32 header length, that many bytes of JSON header, then tensors
+``VOX1``, and ``REC1`` for the reconstructions the CLI's ``reconstruct``
+stores), a u32 header length, that many bytes of JSON header, then tensors
 up to the end of the file.  Each tensor is ``TSR1``, u32 rank, u32 dims, then
 float32 data, all little-endian and row-major.  Each tensor carries its own
 shape, so loaders check the shapes against what the header implies.
-Tables (loss logs, reports) are CSV files written by ``write_csv``.
+Tables (loss logs, reports) are CSV files written by ``write_csv``.  Every
+file that is read back is written through ``replacing``, so an interrupted
+write leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -50,9 +54,25 @@ def read_array(fh) -> np.ndarray:
     return np.frombuffer(fh.read(size), dtype="<f4").reshape(shape).astype(np.float32)
 
 
+@contextlib.contextmanager
+def replacing(path, mode="wb", **kw):
+    """A file opened on a temporary name beside ``path``; when the block
+    ends it takes ``path``'s place in one ``os.replace``, and when the block
+    raises it is removed and ``path`` stays as it was."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, mode, **kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_artifact(path, magic: bytes, header: dict, arrays) -> None:
     blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -114,7 +134,7 @@ def check_shapes(arrays, shapes) -> None:
 
 def write_csv(path, header, rows) -> None:
     """``header`` then ``rows`` as RFC-4180 CSV, every float as %.8g."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:

@@ -4,8 +4,9 @@
 
 runs every subcommand of the ``shapesem`` package found under ``<src dir>``
 in-process at one BLAS thread: simulate, preprocess, the three train
-commands, reconstruct, evaluate with both metrics, the three ablations and
-report, then three runs that must fail (a mode the checkpoint contradicts, a
+commands, ``evaluate --metric recon`` before reconstruct (it renders the
+test records itself), reconstruct, evaluate with both metrics (recon now
+scores the stack reconstruct stored), the three ablations and report, then three runs that must fail (a mode the checkpoint contradicts, a
 missing --out, and report on a directory that does not exist).  It prints
 ``<sha256> <path>`` for every file left under the work dir, then each
 command with its exit code, its stdout and its stderr (each line after
@@ -44,6 +45,7 @@ def steps(root):
         (0, ["train-shape", *train]),
         (0, ["train-semantic", *train]),
         (0, ["train-gan", *train]),
+        (0, ["evaluate", "--metric", "recon", "--seed", "0", *data]),
         (0, ["reconstruct", *data]),
         (0, ["evaluate", "--metric", "recon", "--seed", "0", *data]),
         (0, ["evaluate", "--metric", "shape", "--seed", "0", *data]),

@@ -232,7 +232,8 @@ GAN_SMALL = ["--set", "gan_epochs=3", "--set", "gan_decay_start=2",
 
 def test_full_recipe_smoke(tmp_path):
     """simulate -> train-shape -> train-semantic -> train-gan -> reconstruct
-    -> evaluate at S=32 completes and emits montage + CSV."""
+    -> evaluate at S=32 completes and emits montage + CSV, and the report
+    scored from reconstruct's stack is the one rendered without it."""
     ds, art = str(tmp_path / "ds"), str(tmp_path / "art")
     sim = ["--set", "image_size=32", "--set", "categories=4",
            "--set", "n_train=40", "--set", "n_test=8",
@@ -248,9 +249,16 @@ def test_full_recipe_smoke(tmp_path):
     assert run_cli("evaluate", "--dataset", ds, "--out", art,
                    "--metric", "recon", "--seed", "5") == 0
     for name in ("montage.pgm", "report_recon.csv", "gan.ckpt",
-                 "gan_loss.csv", "recon_0000.pgm"):
+                 "gan_loss.csv", "recon_0000.pgm", "reconstructions.rec"):
         assert os.path.exists(os.path.join(art, name))
     assert run_cli("report", "--out", art) == 0
+    # the report scored from the stack is the one rendered without it
+    report = os.path.join(art, "report_recon.csv")
+    scored = open(report, "rb").read()
+    os.remove(os.path.join(art, "reconstructions.rec"))
+    assert run_cli("evaluate", "--dataset", ds, "--out", art,
+                   "--metric", "recon", "--seed", "5") == 0
+    assert open(report, "rb").read() == scored
 
 
 def test_preprocess_averages_trials(tmp_path):
@@ -1333,3 +1341,198 @@ def test_manifest_value_fuzz(tiny_model, tmp_path_factory):
 
     loads_as_written_or_names_file()
 
+
+
+# -- the reconstruction stack -------------------------------------------
+
+STACK = "reconstructions.rec"
+
+
+@pytest.fixture(scope="module")
+def tiny_stack(tiny_model, tmp_path_factory):
+    """The tiny models with the stack ``reconstruct`` stores beside them."""
+    ds, art = tiny_model
+    out = tmp_path_factory.mktemp("stack") / "art"
+    shutil.copytree(art, out)
+    assert run_cli("reconstruct", "--dataset", ds, "--out", str(out)) == 0
+    return ds, out
+
+
+def _stack_copy(tiny_stack, tmp_path):
+    ds, art = tiny_stack
+    out = tmp_path / "art"
+    shutil.copytree(art, out)
+    return ds, out
+
+
+def test_recon_report_from_stack_is_rendered_report(tiny_stack, tmp_path,
+                                                    monkeypatch):
+    """evaluate --metric recon scores the stack without rendering a test
+    record, and writes the report bytes it writes rendering them once the
+    stack is gone."""
+    import shapesem.cli
+
+    ds, out = _stack_copy(tiny_stack, tmp_path)
+
+    def no_render(*args):
+        raise AssertionError("rendered although the stack is present")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shapesem.cli, "reconstruct_records", no_render)
+        assert _evaluate_recon(ds, out) == 0
+    scored = (out / "report_recon.csv").read_bytes()
+    (out / STACK).unlink()
+    assert _evaluate_recon(ds, out) == 0
+    assert (out / "report_recon.csv").read_bytes() == scored
+
+
+def _refused(ds, out, capsys, *names):
+    """evaluate --metric recon exits 1 naming each of ``names`` and changes
+    nothing in ``out``: no report, no manifest."""
+    before = dir_bytes(out)
+    assert _evaluate_recon(ds, out) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert dir_bytes(out) == before
+    return err
+
+
+@pytest.mark.parametrize("change", ["shape_lambda", "gan_seed", "dataset"])
+def test_stale_stack_names_it_and_the_input(tiny_stack, tmp_path, capsys,
+                                            change):
+    """A stack rendered from another shape decoder, another gan.ckpt or
+    other test records than those evaluate loads exits 1 naming the stack
+    and the input that changed."""
+    ds, out = _stack_copy(tiny_stack, tmp_path)
+    retrain = ["--dataset", ds, "--out", str(out), *TINY_MODELS]
+    if change == "shape_lambda":
+        assert run_cli("train-shape", "--seed", "0", *retrain,
+                       "--set", "shape_lambda=3.5") == 0
+        changed = "shape_decoder.shd"
+    elif change == "gan_seed":
+        assert run_cli("train-gan", "--seed", "1", *retrain) == 0
+        changed = "gan.ckpt"
+    else:
+        ds = str(tmp_path / "ds1")
+        assert run_cli("simulate", "--seed", "1", "--out", ds, *TINY_SIM) == 0
+        changed = "other test records than those of %s" % ds
+    capsys.readouterr()
+    err = _refused(ds, out, capsys, str(out / STACK), changed)
+    assert "stale" in err
+
+
+def _stack_edit(edit):
+    """Save the stack again with its one tensor as ``edit`` makes it."""
+    def damage(path):
+        from shapesem.serial import open_artifact, save_artifact
+
+        with open_artifact(path, b"REC1") as (header, arrays):
+            pass
+        save_artifact(path, b"REC1", header, [edit(arrays[0])])
+    return damage
+
+
+def _set_first(value):
+    def edit(stack):
+        stack.flat[0] = value
+        return stack
+    return edit
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda path: path.write_bytes(path.read_bytes()[:-1]), "overruns"),
+    (lambda path: path.write_bytes(path.read_bytes() + bytes(64)),
+     "bad tensor magic"),
+    (_stack_edit(_set_first(np.nan)), "non-finite"),
+    (_stack_edit(lambda stack: stack[:-1]), "tensor 0 has shape"),
+    (_stack_edit(_set_first(1.5)), "outside [0, 1]"),
+], ids=["truncated", "trailing", "nan", "shape", "pixel-1.5"])
+def test_damaged_stack_names_it(tiny_stack, tmp_path, capsys, damage,
+                                message):
+    """A stack cut short, followed by junk, holding a NaN or a pixel above
+    1, or not one image per test record, exits 1 naming it."""
+    ds, out = _stack_copy(tiny_stack, tmp_path)
+    damage(out / STACK)
+    _refused(ds, out, capsys, str(out / STACK), message)
+
+
+@pytest.mark.parametrize("case", ["mode", "damaged-gan.ckpt"])
+def test_model_refusals_come_before_the_stack(tiny_stack, tmp_path, capsys,
+                                              case):
+    """With a stack present, mode=no_semantics against a conditioned
+    gan.ckpt and a damaged gan.ckpt are refused as without one, naming
+    gan.ckpt, not the stack."""
+    ds, out = _stack_copy(tiny_stack, tmp_path)
+    argv = ["evaluate", "--dataset", ds, "--out", str(out), "--metric",
+            "recon", "--seed", "0"]
+    if case == "mode":
+        argv += ["--set", "mode=no_semantics"]
+    else:
+        ckpt = out / "gan.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-1])
+    before = dir_bytes(out)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert str(out / "gan.ckpt") in err and STACK not in err
+    if case == "mode":
+        assert "mode" in err
+    assert dir_bytes(out) == before
+
+
+def test_stack_header_fuzz(tiny_stack, tmp_path_factory):
+    """The stack's header, or one field of it, set to any JSON value either
+    scores the stack into the same report bytes or exits 1 naming the
+    stack; it never escapes as a traceback."""
+    from shapesem.serial import open_artifact, save_artifact
+
+    ds, art = tiny_stack
+    out = tmp_path_factory.mktemp("stack_headers") / "art"
+    shutil.copytree(art, out)
+    path = out / STACK
+    with open_artifact(path, b"REC1") as (header, arrays):
+        pass
+    assert _evaluate_recon(ds, out) == 0
+    report = (out / "report_recon.csv").read_bytes()
+    argv = ["evaluate", "--dataset", ds, "--out", str(out), "--metric",
+            "recon", "--seed", "0"]
+
+    @settings(max_examples=60, deadline=1000, database=None)
+    @given(st.sampled_from([None, *sorted(header)]), _HOSTILE_JSON)
+    def scores_or_names_stack(field, value):
+        save_artifact(path, b"REC1", value if field is None
+                      else dict(header, **{field: value}), arrays)
+        code, _, err = cli_recipe.run(main, argv)
+        assert code in (0, 1) and (code == 0 or str(path) in err), err
+        assert (out / "report_recon.csv").read_bytes() == report
+
+    scores_or_names_stack()
+
+
+@pytest.mark.parametrize("writer", ["save_artifact", "write_csv",
+                                    "write_manifest"])
+def test_interrupted_write_keeps_previous_file(tmp_path, writer):
+    """A writer that raises halfway leaves the file it was replacing
+    byte-identical and no other file in the directory."""
+    from shapesem.cli import write_manifest
+    from shapesem.serial import save_artifact, write_csv
+
+    def rows():
+        yield [1, 2.5]
+        raise RuntimeError("halfway")
+
+    cfg = {key: default for key, (_, default) in KNOWN_KEYS.items()}
+    name, write = {
+        "save_artifact": ("model.bin", lambda path: save_artifact(
+            path, b"GAN1", {"n": 2}, [np.ones(3), "not an array"])),
+        "write_csv": ("table.csv", lambda path: write_csv(
+            path, ["a", "b"], rows())),
+        # a config value json cannot encode stops the dump halfway
+        "write_manifest": ("run_manifest_evaluate.json", lambda path:
+                           write_manifest(path.parent, "evaluate",
+                                          dict(cfg, runs=object()), [])),
+    }[writer]
+    (tmp_path / name).write_bytes(b"previous run\n")
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
+        write(tmp_path / name)
+    assert os.listdir(tmp_path) == [name]
+    assert (tmp_path / name).read_bytes() == b"previous run\n"
